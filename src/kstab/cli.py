@@ -14,13 +14,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import (
+    AsymptoticReport,
     chow_sweep,
     chow_weight_algebraic,
     fit_asymptotics,
@@ -29,6 +31,7 @@ from .asymptotics import (
 from .geometry import Chart, n2_integral
 from .polynomials import Polynomial, parse_polynomial
 from .rays import (
+    SectionFrame,
     build_ray_grid,
     chow_weight_numeric,
     convexity_report,
@@ -232,11 +235,37 @@ class RunConfig:
     tol: dict
 
 
+@dataclass
+class Inputs:
+    """A loaded configuration plus what the commands derive from it, each once.
+
+    fiber and cycle are the chart lists of load_configuration.  report runs
+    several commands on one Inputs, so they share the asymptotic fit and the
+    section frame of each (level, sample count, seed).
+    """
+
+    config: TestConfiguration
+    fiber: list[Chart]
+    cycle: list[Chart]
+    frames: dict[tuple[int, int, int], SectionFrame] = field(default_factory=dict)
+
+    @cached_property
+    def fit(self) -> AsymptoticReport:
+        return fit_asymptotics(self.config)
+
+    def frame(self, k: int, samples: int, seed: int) -> SectionFrame:
+        key = (k, samples, seed)
+        if key not in self.frames:
+            self.frames[key] = section_frame(self.config, self.fiber, k, samples, seed)
+        return self.frames[key]
+
+
 def _basis_strings(config: TestConfiguration) -> list[str]:
     return [g.to_string(config.variables, config.order) for g in config.groebner_basis]
 
 
-def _cmd_flat_limit(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
+def _cmd_flat_limit(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+    config = inputs.config
     initial = [
         g.initial_form(config.order).to_string(config.variables, config.order)
         for g in config.groebner_basis
@@ -251,11 +280,11 @@ def _cmd_flat_limit(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
     )
 
 
-def _cmd_spectrum(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
+def _cmd_spectrum(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     ks = run.k_list or tuple(range(1, (run.kmax or 8) + 1))
     rows = []
     for k in ks:
-        sl = graded_slice(config, k)
+        sl = graded_slice(inputs.config, k)
         rows.append(
             {
                 "k": k,
@@ -292,12 +321,12 @@ def _futaki_payload(report) -> dict:
     }
 
 
-def _cmd_futaki(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
-    return _futaki_payload(fit_asymptotics(config)), EXIT_OK
+def _cmd_futaki(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+    return _futaki_payload(inputs.fit), EXIT_OK
 
 
-def _cmd_chow(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
-    report = fit_asymptotics(config)
+def _cmd_chow(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+    config, report = inputs.config, inputs.fit
     rs = run.r_list or tuple(range(1, 11))
     sweep = chow_sweep(config, rs, report)
     payload = {
@@ -317,12 +346,12 @@ def _cmd_chow(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if run.numeric:
-        if not fiber:
+        if not inputs.fiber:
             raise ConfigError("chow --numeric needs a 'fiber' section in the input")
         k = (run.k_list or (1,))[0]
-        frame = section_frame(config, fiber, k, run.samples, run.seed)
+        frame = inputs.frame(k, run.samples, run.seed)
         numeric = chow_weight_numeric(
-            fiber, frame, run.t_probe, report.n, run.samples, run.seed
+            inputs.fiber, frame, run.t_probe, report.n, run.samples, run.seed
         )
         exact = chow_weight_algebraic(config, k, report).mu
         scale = max(abs(float(exact)), 1.0)
@@ -360,13 +389,12 @@ def _ambient_lambda(config: TestConfiguration) -> list[float]:
     return lam
 
 
-def _cmd_n2(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
-    if not cycle:
+def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+    if not inputs.cycle:
         raise ConfigError("n2 needs a 'cycle' section describing the flat limit")
-    report = fit_asymptotics(config)
-    lam = _ambient_lambda(config)
-    result = n2_integral(cycle, lam, run.samples, run.seed)
-    exact = report.n2_sq
+    lam = _ambient_lambda(inputs.config)
+    result = n2_integral(inputs.cycle, lam, run.samples, run.seed)
+    exact = inputs.fit.n2_sq
     scale = float(exact) if exact else 1.0
     rel = abs(result.value - float(exact)) / abs(scale) if scale else abs(result.value)
     ok = rel <= run.tol["n2"] and result.consistency_ok
@@ -383,23 +411,23 @@ def _cmd_n2(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
     return payload, EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _ray_machinery(run: RunConfig, config, fiber, k_default=(4, 8, 16)):
-    if not fiber:
+def _ray_machinery(run: RunConfig, inputs: Inputs, k_default=(4, 8, 16)):
+    if not inputs.fiber:
         raise ConfigError(
             f"{run.command} needs a 'fiber' section parametrizing the variety"
         )
-    report = fit_asymptotics(config)
+    report = inputs.fit
     ks = run.k_list or k_default
-    frames = [section_frame(config, fiber, k, run.samples, run.seed) for k in ks]
-    points = grid_points(config, fiber)
+    frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
+    points = grid_points(inputs.config, inputs.fiber)
     grid = build_ray_grid(
         frames, run.t_grid, points, report.n, float(report.degree_volume)
     )
-    return report, frames, points, grid
+    return frames, grid
 
 
-def _cmd_ray(run: RunConfig, config, fiber, cycle) -> tuple[dict, int, object]:
-    report, frames, points, grid = _ray_machinery(run, config, fiber)
+def _cmd_ray(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
+    frames, grid = _ray_machinery(run, inputs)
     slopes = slope_report(grid)
     convexity = convexity_report(grid)
     payload = {
@@ -419,11 +447,11 @@ def _cmd_ray(run: RunConfig, config, fiber, cycle) -> tuple[dict, int, object]:
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
 
-def _cmd_envelope(run: RunConfig, config, fiber, cycle) -> tuple[dict, int, object]:
+def _cmd_envelope(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
     ks = run.k_list or (4, 8, 16)
     if len(ks) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
-    report, frames, points, grid = _ray_machinery(run, config, fiber, ks)
+    _, grid = _ray_machinery(run, inputs, ks)
     near = int(np.argmax(np.array(grid.t_grid)))
     attain_near = sorted({int(k) for k in grid.attaining[near]})
     payload = {
@@ -444,17 +472,16 @@ def _cmd_envelope(run: RunConfig, config, fiber, cycle) -> tuple[dict, int, obje
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
 
-def _cmd_mass(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
-    if not fiber:
+def _cmd_mass(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+    if not inputs.fiber:
         raise ConfigError("mass needs a 'fiber' section parametrizing the variety")
-    report = fit_asymptotics(config)
     ks = run.k_list or tuple(range(2, 13))
     rows = []
     masses = []
-    ok = True
+    positive = consistent = True
     for k in ks:
-        frame = section_frame(config, fiber, k, run.samples, run.seed)
-        er = ma_mass(config, fiber, frame, report, run.samples, run.seed)
+        frame = inputs.frame(k, run.samples, run.seed)
+        er = ma_mass(inputs.config, inputs.fiber, frame, inputs.fit, run.samples, run.seed)
         rows.append(
             {
                 "k": k,
@@ -467,7 +494,8 @@ def _cmd_mass(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
             }
         )
         masses.append(er)
-        ok = ok and er.mass >= -5.0 * er.mass_stderr and er.moment_mc.consistency_ok
+        positive = positive and er.mass >= -5.0 * er.mass_stderr
+        consistent = consistent and er.moment_mc.consistency_ok
     scaled = sorted(er.mass_times_k for er in masses)
     median = scaled[len(scaled) // 2]
     bounded = max(scaled) <= 2.0 * max(median, 1e-12) or max(scaled) <= 1e-9
@@ -476,36 +504,32 @@ def _cmd_mass(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
         "max_mass_times_k": max(scaled),
         "median_mass_times_k": median,
         "bounded_ok": bounded,
-        "positivity_ok": ok,
+        "positivity_ok": positive,
+        "consistency_ok": consistent,
         "seed": run.seed,
         "samples": run.samples,
     }
-    good = ok and bounded
+    good = positive and consistent and bounded
     return payload, EXIT_OK if good else EXIT_NUMERIC
 
 
-def _cmd_report(run: RunConfig, config, fiber, cycle) -> tuple[dict, int]:
+def _cmd_report(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     payload: dict = {}
     code = EXIT_OK
-    payload["flat_limit"], _ = _cmd_flat_limit(run, config, fiber, cycle)
-    payload["futaki"], _ = _cmd_futaki(run, config, fiber, cycle)
-    sub = RunConfig(**{**run.__dict__, "r_list": run.r_list or tuple(range(1, 6))})
-    payload["chow"], c = _cmd_chow(sub, config, fiber, cycle)
+    payload["flat_limit"], _ = _cmd_flat_limit(run, inputs)
+    payload["futaki"], _ = _cmd_futaki(run, inputs)
+    sub = replace(run, r_list=run.r_list or tuple(range(1, 6)))
+    payload["chow"], c = _cmd_chow(sub, inputs)
     code = max(code, c)
-    if cycle:
-        payload["n2"], c = _cmd_n2(run, config, fiber, cycle)
+    if inputs.cycle:
+        payload["n2"], c = _cmd_n2(run, inputs)
         code = max(code, c)
-    if fiber:
-        sub = RunConfig(**{**run.__dict__, "k_list": run.k_list or (2, 3, 4, 6)})
-        payload["mass"], c = _cmd_mass(sub, config, fiber, cycle)
+    if inputs.fiber:
+        sub = replace(run, k_list=run.k_list or (2, 3, 4, 6))
+        payload["mass"], c = _cmd_mass(sub, inputs)
         code = max(code, c)
-        ray_payload, c, _ = _cmd_ray(
-            RunConfig(**{**run.__dict__, "k_list": run.k_list or (4, 8, 16)}),
-            config,
-            fiber,
-            cycle,
-        )
-        payload["ray"] = ray_payload
+        sub = replace(run, k_list=run.k_list or (4, 8, 16))
+        payload["ray"], c, _ = _cmd_ray(sub, inputs)
         code = max(code, c)
     return payload, code
 
@@ -582,27 +606,28 @@ def main(argv: list[str] | None = None) -> int:
         tol={"n2": args.tol_n2, "chow": args.tol_chow, "boundary": args.tol_boundary},
     )
     try:
-        config, fiber, cycle = load_configuration(run.path)
+        inputs = Inputs(*load_configuration(run.path))
+        config = inputs.config
         run.out.mkdir(parents=True, exist_ok=True)
         grid = None
         if run.command == "flat-limit":
-            payload, code = _cmd_flat_limit(run, config, fiber, cycle)
+            payload, code = _cmd_flat_limit(run, inputs)
         elif run.command == "spectrum":
-            payload, code = _cmd_spectrum(run, config, fiber, cycle)
+            payload, code = _cmd_spectrum(run, inputs)
         elif run.command == "futaki":
-            payload, code = _cmd_futaki(run, config, fiber, cycle)
+            payload, code = _cmd_futaki(run, inputs)
         elif run.command == "chow":
-            payload, code = _cmd_chow(run, config, fiber, cycle)
+            payload, code = _cmd_chow(run, inputs)
         elif run.command == "n2":
-            payload, code = _cmd_n2(run, config, fiber, cycle)
+            payload, code = _cmd_n2(run, inputs)
         elif run.command == "ray":
-            payload, code, grid = _cmd_ray(run, config, fiber, cycle)
+            payload, code, grid = _cmd_ray(run, inputs)
         elif run.command == "envelope":
-            payload, code, grid = _cmd_envelope(run, config, fiber, cycle)
+            payload, code, grid = _cmd_envelope(run, inputs)
         elif run.command == "mass":
-            payload, code = _cmd_mass(run, config, fiber, cycle)
+            payload, code = _cmd_mass(run, inputs)
         else:
-            payload, code = _cmd_report(run, config, fiber, cycle)
+            payload, code = _cmd_report(run, inputs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -354,6 +354,14 @@ def monomial_jet(exponents: np.ndarray, zhat: np.ndarray) -> tuple[np.ndarray, n
     return values, derivs
 
 
+def _weighted_outer_mean(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Batch mean of w_b v_b v_b*: the (D, D) matrix (1/B) sum_b w_b V_ba conj(V_bc).
+
+    One complex matrix product, so the accumulation runs in BLAS.
+    """
+    return ((V * w[:, None]).T @ V.conj()) / len(w)
+
+
 def gram_matrix(
     charts: Sequence[Chart],
     exponents: np.ndarray,
@@ -371,8 +379,7 @@ def gram_matrix(
     def mean(chart, u, pdf):
         w, z = _base_weight(chart, u, pdf)
         zhat = z / np.linalg.norm(z, axis=1, keepdims=True)
-        m = monomial_values(exponents, zhat)
-        return np.einsum("b,ba,bc->ac", w, m, m.conj()) / len(w)
+        return _weighted_outer_mean(w, monomial_values(exponents, zhat))
 
     result = mc_charts(charts, mean, n_samples, seed)
     H = hermitian_part(result.value)
@@ -462,7 +469,7 @@ def _embedded_jet(
     zhat = z / nrm[:, None]
     m, dm = monomial_jet(exponents, zhat)
     W = m @ gs_matrix.T
-    dW = np.einsum("biv,bvD->biD", dz, dm) @ gs_matrix.T
+    dW = (dz @ dm) @ gs_matrix.T
     return W, dW, nrm
 
 
@@ -509,8 +516,7 @@ def moment_matrix(
         W, dW = _stabilized(W, dW)
         dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
         V = W / np.linalg.norm(W, axis=1, keepdims=True)
-        w = dens / pdf
-        return np.einsum("b,ba,bc->ac", w, V, V.conj()) / len(w)
+        return _weighted_outer_mean(dens / pdf, V)
 
     result = mc_charts(charts, mean, n_samples, seed, scales=scales)
     return hermitian_part(result.value), result

@@ -241,8 +241,7 @@ def ray_potential(frame: SectionFrame, t: float, zhat: np.ndarray, n: int) -> np
 class RayGrid:
     """Ray potentials on a (level, time, point) grid with the envelope.
 
-    phi is the raw potential, shifted adds c_k - eps_k t, psi_scale records
-    the section-frame rescaling k (phi(t;k) - phi(0;k)), envelope is the
+    phi is the raw potential, shifted adds c_k - eps_k t, envelope is the
     running grid max over levels followed by a neighbor local max (the grid
     surrogate of upper-semicontinuous regularization).  attaining holds the
     level index winning at each (t, x) before that local max.
@@ -256,7 +255,6 @@ class RayGrid:
     points: PointGrid
     phi: np.ndarray
     phi_zero: np.ndarray
-    psi_scale: np.ndarray
     c_k: tuple[float, ...]
     eps_k: tuple[float, ...]
     shifted: np.ndarray
@@ -327,9 +325,6 @@ def build_ray_grid(
     phi_zero = np.array(
         [_phi_from_terms(terms[i], f.lambdas, f.k, n, 0.0) for i, f in enumerate(frames)]
     )
-    psi = np.array(
-        [f.k * (phi[i] - phi_zero[i][None, :]) for i, f in enumerate(frames)]
-    )
 
     gaps = [float(np.max(np.abs(phi_zero[i] - phi_zero[-1]))) for i in range(len(frames))]
     big_c = max(k * k * e for k, e in zip(k_set, gaps))
@@ -365,7 +360,6 @@ def build_ray_grid(
         points=points,
         phi=phi,
         phi_zero=phi_zero,
-        psi_scale=psi,
         c_k=c_k,
         eps_k=eps_k,
         shifted=shifted,

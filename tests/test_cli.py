@@ -1,10 +1,11 @@
 """Command line driver: exit codes, report files, determinism, diagnostics."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
-
+from kstab import cli
 from kstab.cli import main
 
 from conftest import config_path
@@ -79,8 +80,26 @@ def test_mass_payload(tmp_path):
     payload = load(tmp_path, "conic_double_line_mass")
     assert code == 0
     assert payload["positivity_ok"] is True
+    assert payload["consistency_ok"] is True
     assert payload["bounded_ok"] is True
     assert [row["k"] for row in payload["rows"]] == [2, 3]
+
+
+def test_mass_consistency_failure_is_not_a_positivity_failure(tmp_path, monkeypatch):
+    real = cli.ma_mass
+
+    def inconsistent(*args):
+        er = real(*args)
+        return dataclasses.replace(
+            er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ok=False)
+        )
+
+    monkeypatch.setattr(cli, "ma_mass", inconsistent)
+    code = run(["mass", DL, "--k", "2,3", "--samples", "20000"], tmp_path)
+    payload = load(tmp_path, "conic_double_line_mass")
+    assert code == 3
+    assert payload["positivity_ok"] is True
+    assert payload["consistency_ok"] is False
 
 
 def test_ray_writes_json_and_csv(tmp_path):
@@ -129,6 +148,28 @@ def test_report_command_trivial(tmp_path):
     assert payload["futaki"]["F_1"] == "0"
     assert payload["futaki"]["trivial_action"] is True
     assert payload["n2"]["pass"] is True
+
+
+def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):
+    levels = []
+    fits = []
+
+    def counted(real, log):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "section_frame", counted(cli.section_frame, levels))
+    monkeypatch.setattr(cli, "fit_asymptotics", counted(cli.fit_asymptotics, fits))
+    run(["report", DL, "--samples", "4096"], tmp_path)
+    # mass uses levels 2, 3, 4, 6 and the ray 4, 8, 16: level 4 is shared
+    assert sorted(args[2] for args in levels) == [2, 3, 4, 6, 8, 16]
+    assert len(fits) == 1
+    payload = load(tmp_path, "conic_double_line_report")
+    assert [row["k"] for row in payload["mass"]["rows"]] == [2, 3, 4, 6]
+    assert payload["ray"]["k_set"] == [4, 8, 16]
 
 
 def test_seed_echoed(tmp_path):

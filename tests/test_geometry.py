@@ -23,6 +23,7 @@ from kstab.geometry import (
     fs_volume_density,
     gram_matrix,
     hermitian_part,
+    mc_charts,
     mc_integrate,
     moment_matrix,
     monomial_jet,
@@ -196,6 +197,27 @@ def test_gram_rotation_block_diagonal():
     off = np.abs(G - np.diag(np.diag(G)))
     gate = 5 * np.asarray(mc.stderr) + 1e-9
     assert np.all(off <= gate)
+
+
+LEVEL8_LINE = np.array([[8 - a, a] for a in range(9)])
+# standard monomials of x*z - y^2 at degree 8: y-degree at most one
+LEVEL8_CONIC = np.array([[a, e, 8 - a - e] for e in (0, 1) for a in range(9 - e)])
+
+
+@pytest.mark.parametrize("fiber, exps", [(LINE, LEVEL8_LINE), (CONIC, LEVEL8_CONIC)])
+def test_gram_accumulation_matches_three_operand_einsum(fiber, exps):
+    # the same draws, accumulated as sum_b w_b m_a(z_b) conj(m_c(z_b)) by einsum
+    def einsum_mean(chart, u, pdf):
+        w = fs_volume_density(chart, u) / pdf
+        z = chart.values(u)
+        m = monomial_values(exps, z / np.linalg.norm(z, axis=1, keepdims=True))
+        return np.einsum("b,ba,bc->ac", w, m, m.conj()) / len(w)
+
+    want = mc_charts([fiber], einsum_mean, 8192, 11).value
+    _, mc = gram_matrix([fiber], exps, 8, 8192, 11)
+    assert mc.value.shape == (len(exps), len(exps))
+    assert np.max(np.abs(mc.value - want)) <= 1e-12 * np.max(np.abs(want))
+    hermitian_part(mc.value)  # asymmetry within the default HERMITIAN_TOL
 
 
 def test_moment_matrix_balanced_limit():
