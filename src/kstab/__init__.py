@@ -24,7 +24,6 @@ from .geometry import (
     MCResult,
     bergman_density,
     energy_derivative,
-    energy_derivative_at_t,
     equivariant_gram_schmidt,
     fs_mass,
     fs_volume_density,
@@ -45,7 +44,6 @@ from .rays import (
     build_ray_grid,
     chow_weight_numeric,
     convexity_report,
-    envelope,
     geometric_t_grid,
     grid_points,
     ma_mass,
@@ -82,8 +80,6 @@ __all__ = [
     "chow_weight_numeric",
     "convexity_report",
     "energy_derivative",
-    "energy_derivative_at_t",
-    "envelope",
     "equivariant_gram_schmidt",
     "fit_asymptotics",
     "fs_mass",

@@ -48,18 +48,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-COMMANDS = (
-    "flat-limit",
-    "spectrum",
-    "futaki",
-    "chow",
-    "n2",
-    "ray",
-    "mass",
-    "envelope",
-    "report",
-)
-
 _AUTO_PARAMS = ("u", "v", "w")
 
 
@@ -84,6 +72,11 @@ def _parse_generator(text: str, variables: tuple[str, ...]) -> Polynomial:
 def _parse_chart(entry: dict, section: str, index: int) -> Chart:
     if not isinstance(entry, dict):
         raise ConfigError(f"{section}[{index}] must be an object")
+    if "law" in entry:
+        raise ConfigError(
+            f"{section}[{index}]: the 'law' key is not supported; charts are "
+            "always sampled from the Fubini-Study law (remove the key)"
+        )
     spec = entry.get("chart_vars", 1)
     if isinstance(spec, int):
         if not 1 <= spec <= len(_AUTO_PARAMS):
@@ -107,7 +100,6 @@ def _parse_chart(entry: dict, section: str, index: int) -> Chart:
             params=params,
             components=polys,
             multiplicity=int(entry.get("multiplicity", 1)),
-            law=str(entry.get("law", "fs")),
         )
     except ValueError as exc:
         raise ConfigError(f"{section}[{index}]: {exc}") from exc
@@ -412,6 +404,7 @@ def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
 
 
 def _ray_machinery(run: RunConfig, inputs: Inputs, k_default=(4, 8, 16)):
+    """Frames, ray grid and the payload fields ray and envelope share."""
     if not inputs.fiber:
         raise ConfigError(
             f"{run.command} needs a 'fiber' section parametrizing the variety"
@@ -423,26 +416,28 @@ def _ray_machinery(run: RunConfig, inputs: Inputs, k_default=(4, 8, 16)):
     grid = build_ray_grid(
         frames, run.t_grid, points, report.n, float(report.degree_volume)
     )
-    return frames, grid
-
-
-def _cmd_ray(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
-    frames, grid = _ray_machinery(run, inputs)
-    slopes = slope_report(grid)
-    convexity = convexity_report(grid)
     payload = {
         "k_set": list(grid.k_set),
         "t_grid": list(grid.t_grid),
         "points": list(grid.labels),
         "c_k": list(grid.c_k),
         "eps_k": list(grid.eps_k),
-        "gram_consistency_ok": all(f.gram_mc.consistency_ok for f in frames),
-        "slope_check": slopes,
-        "convexity_check": convexity,
-        "sup_osc": sup_osc_report(grid),
         "seed": run.seed,
         "samples": run.samples,
     }
+    return frames, grid, payload
+
+
+def _cmd_ray(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
+    frames, grid, payload = _ray_machinery(run, inputs)
+    slopes = slope_report(grid)
+    convexity = convexity_report(grid)
+    payload.update(
+        gram_consistency_ok=all(f.gram_mc.consistency_ok for f in frames),
+        slope_check=slopes,
+        convexity_check=convexity,
+        sup_osc=sup_osc_report(grid),
+    )
     ok = slopes["ok"] and convexity["ok"] and payload["gram_consistency_ok"]
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
@@ -451,23 +446,15 @@ def _cmd_envelope(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
     ks = run.k_list or (4, 8, 16)
     if len(ks) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
-    _, grid = _ray_machinery(run, inputs, ks)
+    _, grid, payload = _ray_machinery(run, inputs, ks)
     near = int(np.argmax(np.array(grid.t_grid)))
-    attain_near = sorted({int(k) for k in grid.attaining[near]})
-    payload = {
-        "k_set": list(grid.k_set),
-        "t_grid": list(grid.t_grid),
-        "points": list(grid.labels),
-        "c_k": list(grid.c_k),
-        "eps_k": list(grid.eps_k),
-        "strict_decrease": grid.strict_decrease,
-        "boundary_continuity": grid.boundary_continuity,
-        "boundary_tolerance": run.tol["boundary"],
-        "attaining_near_boundary": attain_near,
-        "seed": run.seed,
-        "samples": run.samples,
-    }
     ok = grid.strict_decrease and grid.boundary_continuity <= run.tol["boundary"]
+    payload.update(
+        strict_decrease=grid.strict_decrease,
+        boundary_continuity=grid.boundary_continuity,
+        boundary_tolerance=run.tol["boundary"],
+        attaining_near_boundary=sorted({int(k) for k in grid.attaining[near]}),
+    )
     payload["pass"] = ok
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
@@ -532,6 +519,21 @@ def _cmd_report(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
         payload["ray"], c, _ = _cmd_ray(sub, inputs)
         code = max(code, c)
     return payload, code
+
+
+# command name -> handler(run, inputs) returning (payload, exit code[, ray grid])
+HANDLERS = {
+    "flat-limit": _cmd_flat_limit,
+    "spectrum": _cmd_spectrum,
+    "futaki": _cmd_futaki,
+    "chow": _cmd_chow,
+    "n2": _cmd_n2,
+    "ray": _cmd_ray,
+    "mass": _cmd_mass,
+    "envelope": _cmd_envelope,
+    "report": _cmd_report,
+}
+COMMANDS = tuple(HANDLERS)
 
 
 # -- argument parsing and dispatch ----------------------------------------------
@@ -609,29 +611,8 @@ def main(argv: list[str] | None = None) -> int:
         inputs = Inputs(*load_configuration(run.path))
         config = inputs.config
         run.out.mkdir(parents=True, exist_ok=True)
-        grid = None
-        if run.command == "flat-limit":
-            payload, code = _cmd_flat_limit(run, inputs)
-        elif run.command == "spectrum":
-            payload, code = _cmd_spectrum(run, inputs)
-        elif run.command == "futaki":
-            payload, code = _cmd_futaki(run, inputs)
-        elif run.command == "chow":
-            payload, code = _cmd_chow(run, inputs)
-        elif run.command == "n2":
-            payload, code = _cmd_n2(run, inputs)
-        elif run.command == "ray":
-            payload, code, grid = _cmd_ray(run, inputs)
-        elif run.command == "envelope":
-            payload, code, grid = _cmd_envelope(run, inputs)
-        elif run.command == "mass":
-            payload, code = _cmd_mass(run, inputs)
-        else:
-            payload, code = _cmd_report(run, inputs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+        payload, code, *grid = HANDLERS[run.command](run, inputs)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -646,9 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     json_path = run.out / f"{stem}.json"
     _write_json(json_path, payload)
     written = [str(json_path)]
-    if grid is not None:
+    if grid:
         csv_path = run.out / f"{stem}.csv"
-        _write_csv(csv_path, grid)
+        _write_csv(csv_path, grid[0])
         written.append(str(csv_path))
     status = "ok" if code == EXIT_OK else "DIAGNOSTIC FAILURE"
     print(f"{config.name} {run.command}: {status}; wrote {', '.join(written)}")

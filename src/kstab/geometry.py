@@ -6,12 +6,12 @@ total mass 1 (the chart density carries 1/pi per parameter); with that
 choice the mass of a curve equals its degree, moment-matrix traces equal
 cycle degrees, and the Bergman density integrates to the section count.
 
-Monte Carlo integration draws chart parameters from an explicit sampling
-law (default: the Fubini-Study law itself, which keeps importance weights
-bounded for polynomial charts; complex Gaussians are available but heavy
-tailed here).  Estimates are deterministic functions of (seed, sample
-count): fixed batch size, one generator substream per (chart, batch),
-pairwise-tree reduction, and a quarter-vs-full consistency check.
+Monte Carlo integration draws chart parameters from the Fubini-Study law
+itself, which keeps importance weights bounded for polynomial charts (a
+log-spaced scale mixture of it when a flow moves the mass outward).  Every
+estimate runs through one batch loop, so it is a deterministic function of
+(seed, sample count): fixed batch size, one generator substream per (chart,
+batch), pairwise-tree reduction, and a quarter-vs-full consistency check.
 """
 
 from __future__ import annotations
@@ -35,22 +35,18 @@ class Chart:
     """Polynomial parametrization of one cycle component.
 
     components map C^d -> C^(m+1) and must not vanish simultaneously away
-    from a measure-zero set.  law selects the sampling distribution of the
-    parameters ("fs" or "gaussian").
+    from a measure-zero set.
     """
 
     params: tuple[str, ...]
     components: tuple[Polynomial, ...]
     multiplicity: int = 1
-    law: str = "fs"
 
     def __post_init__(self):
         if not self.params:
             raise ValueError("chart needs at least one parameter")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
-        if self.law not in ("fs", "gaussian"):
-            raise ValueError(f"unknown sampling law {self.law!r}")
         if all(not c for c in self.components):
             raise ValueError("all chart components are zero")
         for c in self.components:
@@ -116,35 +112,19 @@ def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
     return fs_density_values(chart.values(u), chart.jacobian(u))
 
 
-# -- sampling laws ------------------------------------------------------------
+# -- the sampling law ---------------------------------------------------------
 
 
-def _draw_fs(rng: np.random.Generator, size: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_batch(
+    rng: np.random.Generator, size: int, d: int, scales: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """FS-law parameters in C^d (scale-mixed when scales has several entries) and their pdf."""
     v = rng.random((size, d))
     theta = rng.random((size, d))
     r = np.sqrt(v / (1.0 - v))
     u = r * np.exp(2j * math.pi * theta)
-    pdf = np.prod(1.0 / (math.pi * (1.0 + r**2) ** 2), axis=1)
-    return u, pdf
-
-
-def _draw_gaussian(rng: np.random.Generator, size: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    w = rng.standard_normal((size, 2 * d))
-    u = (w[:, :d] + 1j * w[:, d:]) / math.sqrt(2.0)
-    sq = np.sum(np.abs(u) ** 2, axis=1)
-    pdf = np.exp(-sq) / math.pi**d
-    return u, pdf
-
-
-def _draw_batch(
-    chart: Chart, rng: np.random.Generator, size: int, scales: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    d = chart.dim
-    if chart.law == "gaussian":
-        return _draw_gaussian(rng, size, d)
-    u, pdf = _draw_fs(rng, size, d)
     if scales is None or len(scales) == 1:
-        return u, pdf
+        return u, np.prod(1.0 / (math.pi * (1.0 + r**2) ** 2), axis=1)
     idx = rng.integers(0, len(scales), size)
     u = scales[idx][:, None] * u
     # exact mixture pdf: mean over scale components of prod_i R^2/(pi (R^2+|u_i|^2)^2)
@@ -214,50 +194,40 @@ def _batch_rng(seed: tuple[int, ...], chart_index: int, batch: int) -> np.random
     return np.random.default_rng(ss)
 
 
-def mc_charts(
+def _batch_means(
     charts: Sequence[Chart],
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
     scales: np.ndarray | None = None,
-) -> MCResult:
-    """Multiplicity-weighted sum of per-chart Monte Carlo means.
+) -> tuple[tuple[int, ...], int, list[list[np.ndarray]]]:
+    """The one batch loop: (seed tuple, batch count, per-chart lists of batch means).
 
-    batch_mean(chart, u, pdf) must return the mean over the batch of the
-    per-sample contribution (importance weight included).  Each (chart,
-    batch) pair gets its own generator substream; sample counts are rounded
-    up to full batches with a minimum of two batches so the batch-scatter
-    stderr is defined.
+    batch_mean is as in mc_charts.  Each (chart, batch) pair gets its own
+    generator substream; sample counts are rounded up to full batches with
+    a minimum of two batches so batch scatter is defined.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     seed = _seed_tuple(seed)
     n_batches = max(2, -(-n_samples // BATCH_SIZE))
-    totals = []
-    variances = []
-    quarters = []
-    n_quarter = max(1, n_batches // 4)
+    per_chart = []
     for ci, chart in enumerate(charts):
         means = []
         for b in range(n_batches):
-            rng = _batch_rng(seed, ci, b)
-            u, pdf = _draw_batch(chart, rng, BATCH_SIZE, scales)
+            u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim, scales)
             m = np.asarray(batch_mean(chart, u, pdf))
             if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
                 raise ValueError(
                     f"non-finite integrand in chart {ci}, batch {b} (seed {seed})"
                 )
             means.append(m)
-        mean_c = _tree_sum(means) / n_batches
-        var_c = _tree_sum([np.abs(m - mean_c) ** 2 for m in means]) / (
-            (n_batches - 1) * n_batches
-        )
-        totals.append(chart.multiplicity * mean_c)
-        variances.append(chart.multiplicity**2 * var_c)
-        quarters.append(chart.multiplicity * (_tree_sum(means[:n_quarter]) / n_quarter))
-    value = _tree_sum(totals)
-    stderr = np.sqrt(_tree_sum(variances))
-    quarter = _tree_sum(quarters)
+        per_chart.append(means)
+    return seed, n_batches, per_chart
+
+
+def _mc_result(value, stderr, quarter, seed: tuple[int, ...], n_batches: int) -> MCResult:
+    """MCResult of an estimate, its stderr and its first-quarter estimate."""
     diff = np.abs(quarter - value)
     with np.errstate(invalid="ignore"):
         ratio = np.where(diff > 0, diff / (5.0 * stderr + 1e-300), 0.0)
@@ -271,6 +241,37 @@ def mc_charts(
         seed=seed,
         consistency_ok=ratio <= 1.0,
         consistency_ratio=ratio,
+    )
+
+
+def mc_charts(
+    charts: Sequence[Chart],
+    batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
+    n_samples: int,
+    seed,
+    scales: np.ndarray | None = None,
+) -> MCResult:
+    """Multiplicity-weighted sum of per-chart Monte Carlo means.
+
+    batch_mean(chart, u, pdf) must return the mean over the batch of the
+    per-sample contribution (importance weight included).  The stderr is
+    the per-chart batch scatter, combined over charts.
+    """
+    seed, n_batches, per_chart = _batch_means(charts, batch_mean, n_samples, seed, scales)
+    n_quarter = max(1, n_batches // 4)
+    totals = []
+    variances = []
+    quarters = []
+    for chart, means in zip(charts, per_chart):
+        mean_c = _tree_sum(means) / n_batches
+        var_c = _tree_sum([np.abs(m - mean_c) ** 2 for m in means]) / (
+            (n_batches - 1) * n_batches
+        )
+        totals.append(chart.multiplicity * mean_c)
+        variances.append(chart.multiplicity**2 * var_c)
+        quarters.append(chart.multiplicity * (_tree_sum(means[:n_quarter]) / n_quarter))
+    return _mc_result(
+        _tree_sum(totals), np.sqrt(_tree_sum(variances)), _tree_sum(quarters), seed, n_batches
     )
 
 
@@ -418,7 +419,9 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
     gram must be positive definite Hermitian with rows/columns ordered by
     ascending weight.  The Cholesky factor L of G gives M = L^(-1), which is
     the unique lower-triangular change of basis with positive diagonal
-    taking G to the identity.
+    taking G to the identity.  A pivot L_ii^2 below PIVOT_FLOOR * G_ii means
+    vector i is numerically dependent on the earlier ones; the test is
+    unchanged by rescaling the basis vectors.
     """
     weights = list(weights)
     G = np.asarray(gram, dtype=complex)
@@ -431,8 +434,7 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise ValueError("gram matrix is not positive definite") from exc
-    pivots = np.real(np.diag(L)) ** 2
-    if np.min(pivots) < PIVOT_FLOOR * float(np.max(np.real(np.diag(G)))):
+    if np.any(np.real(np.diag(L)) ** 2 < PIVOT_FLOOR * np.real(np.diag(G))):
         raise ValueError(
             "gram matrix is numerically singular: basis dependent on cycle"
         )
@@ -473,21 +475,44 @@ def _embedded_jet(
     return W, dW, nrm
 
 
-def _flowed(
-    W: np.ndarray, dW: np.ndarray, lambdas: np.ndarray | None, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    if lambdas is None or t == 0.0:
-        return W, dW
-    factors = np.exp(t * lambdas)
-    return W * factors[None, :], dW * factors[None, None, :]
+def embedded_mc(
+    charts: Sequence[Chart],
+    gs_matrix: np.ndarray,
+    exponents: np.ndarray,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_samples: int,
+    seed,
+    lambdas: np.ndarray | None = None,
+    t: float = 0.0,
+) -> MCResult:
+    """Monte Carlo integral over the cycle embedded by the orthonormal sections.
 
+    The embedding is optionally flowed by exp(t lambda), and then sampled
+    from a scale mixture sized to the flow so the migrating mass is
+    captured.  reduce(w, V) gets the importance weights w (B,) of the FS
+    volume of the embedded image and its unit points V (B, D), and returns
+    the batch mean of the integrand.
+    """
+    exponents = np.asarray(exponents, dtype=int)
+    flowing = lambdas is not None and t != 0.0
+    scales = None
+    if flowing:
+        scales = flow_scale_set(t, float(np.max(lambdas) - np.min(lambdas)))
+        factors = np.exp(t * lambdas)
 
-def _stabilized(W: np.ndarray, dW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # common per-sample rescale: projectively immaterial, prevents overflow
-    peak = np.max(np.abs(W), axis=1)
-    if np.any(peak == 0):
-        raise ValueError("embedded point vanished: sections do not span here")
-    return W / peak[:, None], dW / peak[:, None, None]
+    def mean(chart, u, pdf):
+        W, dW, nrm = _embedded_jet(chart, u, gs_matrix, exponents)
+        if flowing:
+            W, dW = W * factors[None, :], dW * factors[None, None, :]
+        # common per-sample rescale: projectively immaterial, prevents overflow
+        peak = np.max(np.abs(W), axis=1)
+        if np.any(peak == 0):
+            raise ValueError("embedded point vanished: sections do not span here")
+        W, dW = W / peak[:, None], dW / peak[:, None, None]
+        dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
+        return reduce(dens / pdf, W / np.linalg.norm(W, axis=1, keepdims=True))
+
+    return mc_charts(charts, mean, n_samples, seed, scales=scales)
 
 
 def moment_matrix(
@@ -505,20 +530,9 @@ def moment_matrix(
     sections (optionally flowed by exp(t lambda)); the trace estimates the
     image degree.
     """
-    exponents = np.asarray(exponents, dtype=int)
-    scales = None
-    if lambdas is not None and t != 0.0:
-        scales = flow_scale_set(t, float(np.max(lambdas) - np.min(lambdas)))
-
-    def mean(chart, u, pdf):
-        W, dW, nrm = _embedded_jet(chart, u, gs_matrix, exponents)
-        W, dW = _flowed(W, dW, lambdas, t)
-        W, dW = _stabilized(W, dW)
-        dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
-        V = W / np.linalg.norm(W, axis=1, keepdims=True)
-        return _weighted_outer_mean(dens / pdf, V)
-
-    result = mc_charts(charts, mean, n_samples, seed, scales=scales)
+    result = embedded_mc(
+        charts, gs_matrix, exponents, _weighted_outer_mean, n_samples, seed, lambdas, t
+    )
     return hermitian_part(result.value), result
 
 
@@ -533,37 +547,6 @@ def energy_derivative(moment: np.ndarray, generator: np.ndarray, n: int) -> floa
     if B.shape != M.shape:
         raise ValueError("shape mismatch between generator and moment matrix")
     return float((n + 1) * np.trace((B + B.conj().T) @ M).real)
-
-
-def energy_derivative_at_t(
-    charts: Sequence[Chart],
-    gs_matrix: np.ndarray,
-    exponents: np.ndarray,
-    lambdas: np.ndarray,
-    t: float,
-    n: int,
-    n_samples: int,
-    seed,
-) -> MCResult:
-    """Energy slope (n+1) int z*(B+B*)z/|z|^2 over the flowed embedded cycle.
-
-    B is the diagonal traceless generator diag(lambdas).  Sampling uses a
-    scale mixture sized to the flow so the migrating mass is captured.
-    """
-    exponents = np.asarray(exponents, dtype=int)
-    lambdas = np.asarray(lambdas, dtype=float)
-    scales = flow_scale_set(t, float(np.max(lambdas) - np.min(lambdas)))
-
-    def mean(chart, u, pdf):
-        W, dW, nrm = _embedded_jet(chart, u, gs_matrix, exponents)
-        W, dW = _flowed(W, dW, lambdas, t)
-        W, dW = _stabilized(W, dW)
-        dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
-        V2 = np.abs(W) ** 2
-        h = (V2 @ (2.0 * lambdas)) / np.sum(V2, axis=1)
-        return np.mean((n + 1) * (dens / pdf) * h)
-
-    return mc_charts(charts, mean, n_samples, seed, scales=scales)
 
 
 def bergman_density(
@@ -590,50 +573,29 @@ def n2_integral(
     stderr.
     """
     lam = np.asarray(lambdas, dtype=float)
-    seed_t = _seed_tuple(seed)
-    n_batches = max(2, -(-n_samples // BATCH_SIZE))
+    if any(chart.ambient_count != len(lam) for chart in charts):
+        raise ValueError("diagonal length does not match ambient coordinates")
 
-    # accumulate per-batch triples (mass, int h, int h^2) per chart
-    triples = np.zeros((len(charts), n_batches, 3))
-    for ci, chart in enumerate(charts):
-        if chart.ambient_count != len(lam):
-            raise ValueError("diagonal length does not match ambient coordinates")
-        for b in range(n_batches):
-            rng = _batch_rng(seed_t, ci, b)
-            u, pdf = _draw_batch(chart, rng, BATCH_SIZE, None)
-            w, z = _base_weight(chart, u, pdf)
-            sq = np.abs(z) ** 2
-            h = (sq @ lam) / np.sum(sq, axis=1)
-            row = np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"non-finite integrand in chart {ci}, batch {b}")
-            triples[ci, b] = chart.multiplicity * row
+    def triple(chart, u, pdf):
+        # per-batch (mass, int h, int h^2)
+        w, z = _base_weight(chart, u, pdf)
+        sq = np.abs(z) ** 2
+        h = (sq @ lam) / np.sum(sq, axis=1)
+        return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
+
+    seed, n_batches, per_chart = _batch_means(charts, triple, n_samples, seed)
+    triples = np.array(
+        [[chart.multiplicity * row for row in rows] for chart, rows in zip(charts, per_chart)]
+    )
 
     def statistic(mask: np.ndarray) -> float:
         total = triples[:, mask, :].mean(axis=1).sum(axis=0)
         mass, m1, m2 = total
         return m2 - m1 * m1 / mass
 
-    full = statistic(np.ones(n_batches, dtype=bool))
-    jack = []
-    for b in range(n_batches):
-        mask = np.ones(n_batches, dtype=bool)
-        mask[b] = False
-        jack.append(statistic(mask))
-    jack = np.array(jack)
+    batches = np.arange(n_batches)
+    jack = np.array([statistic(batches != b) for b in batches])
     stderr = math.sqrt(max(0.0, (n_batches - 1) / n_batches * np.sum((jack - np.mean(jack)) ** 2)))
-    n_quarter = max(1, n_batches // 4)
-    mask_q = np.zeros(n_batches, dtype=bool)
-    mask_q[:n_quarter] = True
-    quarter = statistic(mask_q)
-    diff = abs(float(quarter) - float(full))
-    ratio = diff / (5.0 * stderr + 1e-300) if diff > 0 else 0.0
-    return MCResult(
-        value=float(full),
-        stderr=float(stderr),
-        n_samples=n_batches * BATCH_SIZE,
-        batch_size=BATCH_SIZE,
-        seed=seed_t,
-        consistency_ok=bool(ratio <= 1.0),
-        consistency_ratio=float(ratio),
-    )
+    quarter = statistic(batches < max(1, n_batches // 4))
+    full = statistic(np.ones(n_batches, dtype=bool))
+    return _mc_result(full, stderr, quarter, seed, n_batches)

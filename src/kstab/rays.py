@@ -25,10 +25,9 @@ from scipy.special import polygamma
 from .asymptotics import AsymptoticReport, chow_weight_algebraic, futaki_f
 from .geometry import (
     Chart,
-    GSResult,
     MCResult,
+    embedded_mc,
     energy_derivative,
-    energy_derivative_at_t,
     equivariant_gram_schmidt,
     gram_matrix,
     moment_matrix,
@@ -65,7 +64,6 @@ class SectionFrame:
     b_weights: tuple[int, ...]
     lambdas: np.ndarray
     matrix: np.ndarray
-    gs: GSResult
     gram: np.ndarray
     gram_mc: MCResult
 
@@ -89,15 +87,13 @@ def section_frame(
     sl = graded_slice(config, k)
     exponents = np.array(sl.monomials, dtype=int)
     gram, mc = gram_matrix(fiber, exponents, k, n_samples, (seed, k, 1))
-    gs = equivariant_gram_schmidt(sl.b_spectrum, gram)
     lambdas = np.array([float(a) for a in sl.a_spectrum])
     return SectionFrame(
         k=k,
         exponents=exponents,
         b_weights=sl.b_spectrum,
         lambdas=lambdas,
-        matrix=gs.matrix,
-        gs=gs,
+        matrix=equivariant_gram_schmidt(sl.b_spectrum, gram).matrix,
         gram=gram,
         gram_mc=mc,
     )
@@ -275,19 +271,6 @@ class RayGrid:
     def osc(self) -> np.ndarray:
         """Grid oscillation sup - inf of phi(t;k) per (k, t)."""
         return np.max(self.phi, axis=2) - np.min(self.phi, axis=2)
-
-
-def envelope(
-    frames: Sequence[SectionFrame],
-    t_grid: Sequence[float],
-    points: PointGrid,
-    n: int,
-    degree: float,
-) -> RayGrid:
-    """Shift-and-sup envelope over an ascending ladder of at least 3 levels."""
-    if len(frames) < 3:
-        raise ValueError("need at least three levels for an envelope")
-    return build_ray_grid(frames, t_grid, points, n, degree)
 
 
 def build_ray_grid(
@@ -526,22 +509,32 @@ def chow_weight_numeric(
     n_samples: int,
     seed: int,
 ) -> ChowNumericReport:
-    """-Edot at a deep probe time along the level-k Bergman ray."""
+    """-Edot at a deep probe time along the level-k Bergman ray.
+
+    Edot(t) = (n+1) int z*(B+B*)z/|z|^2 over the flowed embedded cycle with
+    B = diag(lambdas): energy_derivative of the flowed moment matrix, reduced
+    per sample to its diagonal.
+    """
     if t_probe > -10:
         raise ValueError("probe time must be at most -10 for a usable limit")
+    two_lambda = 2.0 * frame.lambdas
+
+    def slope(w, V):
+        return (n + 1) * np.mean(w * ((np.abs(V) ** 2) @ two_lambda))
+
     estimates = {}
     for slot, (tag, t) in enumerate(
         (("probe", t_probe), ("double", 2 * t_probe), ("half", t_probe / 2))
     ):
-        estimates[tag] = energy_derivative_at_t(
+        estimates[tag] = embedded_mc(
             fiber,
             frame.matrix,
             frame.exponents,
-            frame.lambdas,
-            t,
-            n,
+            slope,
             n_samples,
             (seed, frame.k, 2, slot),
+            frame.lambdas,
+            t,
         )
     e_probe = estimates["probe"]
     e_half = estimates["half"]

@@ -120,6 +120,14 @@ def test_ray_writes_json_and_csv(tmp_path):
     assert payload["convexity_check"]["ok"] is True
 
 
+def test_ray_accepts_high_levels(tmp_path):
+    # the pivot test is per-vector relative, so a badly scaled but well
+    # conditioned high-level Gram matrix is not rejected as singular
+    code = run(["ray", DL, "--k", "8,16,24", "--samples", "8192"], tmp_path)
+    assert code != 2
+    assert load(tmp_path, "conic_double_line_ray")["k_set"] == [8, 16, 24]
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["ray", DL, "--k", "2,3", "--samples", "8000", "--seed", "9"]
@@ -264,6 +272,16 @@ def test_n2_without_cycle(tmp_path, capsys):
     path = write_config(tmp_path)
     assert run(["n2", path, "--samples", "4096"], tmp_path) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+def test_sampling_law_key_is_rejected(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"], "law": "gaussian"}],
+    )
+    assert run(["ray", path, "--k", "2,3", "--samples", "4096"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "fiber[0]" in err and "'law'" in err
 
 
 def test_envelope_needs_three_levels(tmp_path, capsys):

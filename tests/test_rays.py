@@ -13,7 +13,7 @@ from kstab import (
     chow_weight_algebraic,
     chow_weight_numeric,
     convexity_report,
-    envelope,
+    energy_derivative,
     fit_asymptotics,
     geometric_t_grid,
     grid_points,
@@ -21,6 +21,7 @@ from kstab import (
     parse_polynomial,
     ray_comparison,
     ray_potential,
+    moment_matrix,
     section_frame,
     slope_report,
     sup_osc_report,
@@ -119,11 +120,6 @@ def test_build_ray_grid_rejects_duplicate_levels(dl_frames, dl_points):
         build_ray_grid([dl_frames[4], dl_frames[4]], (-1.0,), dl_points, 1, 2.0)
     with pytest.raises(ValueError, match="negative"):
         build_ray_grid([dl_frames[4]], (0.0,), dl_points, 1, 2.0)
-
-
-def test_envelope_needs_three_levels(dl_frames, dl_points):
-    with pytest.raises(ValueError, match="three"):
-        envelope([dl_frames[4]], (-1.0,), dl_points, 1, 2.0)
 
 
 def test_grid_shapes_and_envelope_dominates(dl_grid):
@@ -236,3 +232,24 @@ def test_chow_weight_numeric_needs_far_probe(double_line, dl_frames):
     _, fiber, _ = double_line
     with pytest.raises(ValueError, match="-10"):
         chow_weight_numeric(fiber, dl_frames[4], -2.0, 1, 10_000, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_chow_slope_is_the_flowed_moment_trace(double_line, k):
+    # the probe slope is energy_derivative of the flowed moment matrix from
+    # the same draws, reduced per sample to its diagonal
+    config, fiber, _ = double_line
+    frame = section_frame(config, fiber, k, 8192, 3)
+    t_probe, seed = -15.0, 3
+    numeric = chow_weight_numeric(fiber, frame, t_probe, 1, 8192, seed)
+    M, _ = moment_matrix(
+        fiber,
+        frame.matrix,
+        frame.exponents,
+        8192,
+        (seed, k, 2, 0),
+        lambdas=frame.lambdas,
+        t=t_probe,
+    )
+    want = energy_derivative(M, np.diag(frame.lambdas), 1)
+    assert numeric.estimates["probe"].value == pytest.approx(want, rel=1e-12, abs=0)
