@@ -7,7 +7,7 @@ off the scale-invariant quantities: the leading ratio F_0, the
 Donaldson-Futaki invariant F_1 (the 1/k coefficient of w(k)/(k d_k)), the
 squared norm coefficient of Tr A_k^2 at k^(n+2), the extremal slope limits
 of lambda_min/k and the spectral-gap analogue, and the per-level Chow
-weights obtained from the two-level weight ladder.
+weights read in closed form from the two fitted polynomials.
 
 Everything is computed in rational arithmetic; a fit is accepted only if it
 reproduces several further exact values beyond its interpolation nodes.
@@ -300,9 +300,12 @@ def futaki_f(
 class ChowReport:
     """Chow weight of the level-r image cycle with its Futaki residual.
 
-    tilde_w_coeffs interpolates p -> w(rp)*r*d_r - w(r)*(rp)*d_rp, an exact
-    polynomial of degree <= n+1 in p on the verified window; mu is (n+1)!
-    times its leading coefficient divided by r*d_r.  futaki_residual is
+    tilde_w_coeffs lists, ascending and with trailing zeros stripped, the
+    coefficients of the ladder p -> W(rp)*r*d_r - w(r)*(rp)*D(rp), where
+    D(k) = sum a_i k^i and W(k) = sum b_i k^i are the Hilbert and weight
+    polynomials and d_r, w(r) the exact level-r values.  Its p^i
+    coefficient is c_i = r^i (r d_r b_i - w(r) a_(i-1)), a polynomial of
+    degree <= n+1 in p.  mu is (n+1)! c_(n+1) / (r d_r).  futaki_residual is
     -c_X_omega * mu / r^n - F_1, which tends to 0 as r grows.
     """
 
@@ -311,17 +314,27 @@ class ChowReport:
     tilde_w_coeffs: tuple[Fraction, ...]
     c_X_omega: Fraction
     futaki_residual: Fraction
-    window: tuple[int, int]
 
 
 def chow_weight_algebraic(
     config: TestConfiguration, r: int, report: AsymptoticReport | None = None
 ) -> ChowReport:
-    """Exact Chow weight mu(Z_r, A_r) from the two-level weight ladder.
+    """Exact Chow weight mu(Z_r, A_r) in closed form from the fitted polynomials.
+
+    The degree-p slices of the image of X under the level-r embedding are
+    the level-rp slices of X, so for rp >= k0 (the start of the verified
+    window, where d_k = D(k) and w(k) = W(k)) the two-level ladder
+    W(rp)*r*d_r - w(r)*(rp)*D(rp) is the polynomial in p whose p^i
+    coefficient is c_i = r^i (r d_r b_i - w(r) a_(i-1)).  Its leading
+    coefficient gives
+
+        mu = (n+1)! r^n (r d_r b_(n+1) - w(r) a_n) / d_r,
+
+    so only the level-r slice is read.  Like any reading of the ladder's
+    coefficients, this assumes D and W hold for every k >= k0.
 
     The normalization c_X_omega = 1 / (a_n (n+1)!) makes the residual vanish
-    in the large-r limit: the ladder's leading coefficient in p equals
-    r^(n+1) (b_(n+1) r d_r - a_n w(r)), whose own leading behaviour is
+    in the large-r limit: r d_r b_(n+1) - w(r) a_n has leading behaviour
     -a_n^2 F_1 r^n, so -c mu / r^n -> F_1 requires exactly this constant.
     """
     if r < 1:
@@ -329,29 +342,23 @@ def chow_weight_algebraic(
     if report is None:
         report = fit_asymptotics(config)
     n = report.n
-    k0 = report.stability_window[0]
-    d_r = _slice(config, r).dim
-    w_r = _slice(config, r).total_weight
-
-    def ladder(p: int) -> Fraction:
-        sl = _slice(config, r * p)
-        return Fraction(sl.total_weight * r * d_r - w_r * (r * p) * sl.dim)
-
-    p0 = max(1, -(-k0 // r))
-    fit = fit_eventually_polynomial(
-        ladder, n + 1, k_start=p0, validation=n + 3, cap=p0 + 3 * n + 12
-    )
-    leading = fit.coefficient(n + 1)
-    mu = Fraction(factorial(n + 1)) * leading / (r * d_r)
+    sl = _slice(config, r)
+    d_r, w_r = sl.dim, sl.total_weight
+    zero = Fraction(0)
+    a_prev = (zero,) + report.hilbert_coeffs  # a_prev[i] = a_(i-1)
+    b = report.weight_coeffs + (zero,) * (n + 2 - len(report.weight_coeffs))
+    tilde = [r**i * (r * d_r * b[i] - w_r * a_prev[i]) for i in range(n + 2)]
+    mu = factorial(n + 1) * tilde[n + 1] / (r * d_r)
+    while len(tilde) > 1 and tilde[-1] == 0:
+        tilde.pop()
     c = 1 / (report.a_n * factorial(n + 1))
     residual = -c * mu / Fraction(r) ** n - report.F_1
     return ChowReport(
         r=r,
         mu=mu,
-        tilde_w_coeffs=fit.coeffs,
+        tilde_w_coeffs=tuple(tilde),
         c_X_omega=c,
         futaki_residual=residual,
-        window=fit.window,
     )
 
 

@@ -340,30 +340,33 @@ def _cmd_chow(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     if run.numeric:
         if not inputs.fiber:
             raise ConfigError("chow --numeric needs a 'fiber' section in the input")
-        k = (run.k_list or (1,))[0]
-        frame = inputs.frame(k, run.samples, run.seed)
-        numeric = chow_weight_numeric(
-            inputs.fiber, frame, run.t_probe, report.n, run.samples, run.seed
-        )
-        exact = chow_weight_algebraic(config, k, report).mu
-        scale = max(abs(float(exact)), 1.0)
-        rel = abs(numeric.value - float(exact)) / scale
-        ok = rel <= run.tol["chow"] and numeric.convex_ok
-        payload["numeric"] = {
-            "k": k,
-            "t_probe": numeric.t_probe,
-            "value": numeric.value,
-            "stderr": numeric.stderr,
-            "exact_mu": exact,
-            "rel_error": rel,
-            "gap": numeric.gap,
-            "convex_ok": numeric.convex_ok,
-            "pass": ok,
-            "seed": run.seed,
-            "samples": run.samples,
-        }
-        if not ok:
-            code = EXIT_NUMERIC
+        payload["numeric"] = []
+        for k in run.k_list or (1,):
+            frame = inputs.frame(k, run.samples, run.seed)
+            numeric = chow_weight_numeric(
+                inputs.fiber, frame, run.t_probe, report.n, run.samples, run.seed
+            )
+            exact = chow_weight_algebraic(config, k, report).mu
+            scale = max(abs(float(exact)), 1.0)
+            rel = abs(numeric.value - float(exact)) / scale
+            ok = rel <= run.tol["chow"] and numeric.convex_ok
+            payload["numeric"].append(
+                {
+                    "k": k,
+                    "t_probe": numeric.t_probe,
+                    "value": numeric.value,
+                    "stderr": numeric.stderr,
+                    "exact_mu": exact,
+                    "rel_error": rel,
+                    "gap": numeric.gap,
+                    "convex_ok": numeric.convex_ok,
+                    "pass": ok,
+                    "seed": run.seed,
+                    "samples": run.samples,
+                }
+            )
+            if not ok:
+                code = EXIT_NUMERIC
     return payload, code
 
 

@@ -48,18 +48,6 @@ def monomial_weight(p: Exponents, weights: tuple[int, ...]) -> int:
     return sum(a * w for a, w in zip(p, weights))
 
 
-def _grevlex_cmp(p: Exponents, q: Exponents) -> int:
-    """Classical graded-reverse-lex: return -1 if p > q (p precedes), +1 if q > p."""
-    dp, dq = sum(p), sum(q)
-    if dp != dq:
-        return -1 if dp > dq else 1
-    for a, b in zip(reversed(p), reversed(q)):
-        if a != b:
-            # larger monomial has the *smaller* trailing exponent
-            return -1 if a < b else 1
-    return 0
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Weighted order: smaller weight precedes, grevlex breaks ties.
@@ -70,18 +58,8 @@ class TermOrder:
 
     weights: tuple[int, ...]
 
-    def compare(self, p: Exponents, q: Exponents) -> int:
-        """-1 if p precedes q, 0 if equal, +1 if q precedes p."""
-        if p == q:
-            return 0
-        wp = monomial_weight(p, self.weights)
-        wq = monomial_weight(q, self.weights)
-        if wp != wq:
-            return -1 if wp < wq else 1
-        return _grevlex_cmp(p, q)
-
     def sort_key(self, p: Exponents):
-        # grevlex rank encoded so that tuple comparison mirrors compare()
+        # equal weights: higher degree, then the smaller trailing exponent precedes
         return (monomial_weight(p, self.weights), -sum(p), tuple(reversed(p)))
 
 

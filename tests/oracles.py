@@ -5,15 +5,20 @@ quotient dimensions come from exact row reduction over the rationals applied
 to the generators themselves (no Groebner step), standard-monomial spectra
 come from divisibility filtering against hand-derived initial ideals, series
 coefficients come from exact rational-function division, interpolation uses
-Lagrange instead of Newton differences, and chart integrals use radial
-quadrature instead of Monte Carlo.
+Lagrange instead of Newton differences, chart integrals use radial
+quadrature instead of Monte Carlo, and Chow weights come from fitting the
+enumerated two-level weight ladder instead of the closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from scipy.integrate import quad
+
+from kstab.asymptotics import fit_eventually_polynomial
+from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
 
@@ -173,3 +178,33 @@ def cycle_variance(charts) -> float:
         moment1 += mult * radial_integral(s_coeffs, h)
         moment2 += mult * radial_integral(s_coeffs, lambda s: h(s) ** 2)
     return moment2 - moment1**2 / mass
+
+
+def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
+    """(mu, ladder coefficients, Futaki residual) from the enumerated ladder.
+
+    Fits p -> w(rp)*r*d_r - w(r)*(rp)*d_rp from the exact slices at levels
+    rp, starting at the first p with rp >= k0 of the verified window, with
+    n+3 further values checked past the interpolation nodes.  mu is
+    (n+1)! times the p^(n+1) coefficient over r*d_r.
+    """
+    n = report.n
+    k0 = report.stability_window[0]
+    base = graded_slice(config, r)
+    values: dict[int, Fraction] = {}
+
+    def ladder(p: int) -> Fraction:
+        if p not in values:
+            sl = graded_slice(config, r * p)
+            values[p] = Fraction(
+                sl.total_weight * r * base.dim - base.total_weight * (r * p) * sl.dim
+            )
+        return values[p]
+
+    p0 = max(1, -(-k0 // r))
+    fit = fit_eventually_polynomial(
+        ladder, n + 1, k_start=p0, validation=n + 3, cap=p0 + 3 * n + 12
+    )
+    mu = Fraction(factorial(n + 1)) * fit.coefficient(n + 1) / (r * base.dim)
+    c = 1 / (report.a_n * factorial(n + 1))
+    return mu, fit.coeffs, -c * mu / Fraction(r) ** n - report.F_1

@@ -18,10 +18,12 @@ from kstab import (
     operator_norm_check,
     parse_polynomial,
 )
+from kstab import asymptotics
 from kstab.asymptotics import fit_eventually_polynomial
 
 import oracles
 
+V4 = ("x", "y", "z", "w")
 V3 = ("x", "y", "z")
 V2 = ("x", "y")
 
@@ -150,6 +152,46 @@ def test_chow_residual_laws():
         )
         assert chow_weight_algebraic(PRODUCT, r).futaki_residual == 0
         assert chow_weight_algebraic(TRIVIAL, r).futaki_residual == 0
+
+
+CHOW_ORACLE_CONFIGS = [
+    DOUBLE_LINE,
+    TWO_LINES,
+    PRODUCT,
+    TRIVIAL,
+    TestConfiguration.from_strings("p2", V3, (0, 1, 3), ()),
+    TestConfiguration.from_strings("p3", V4, (0, 1, 1, 4), ()),
+    TestConfiguration.from_strings("quadric", V4, (0, 0, 1, 1), ("x*w - y*z",)),
+    TestConfiguration.from_strings("fermat", V3, (0, 1, 2), ("x^3 + y^3 + z^3",)),
+    TestConfiguration.from_strings(
+        "twisted-cubic", V4, (0, 1, 2, 3), ("x*z - y^2", "y*w - z^2", "x*w - y*z")
+    ),
+]
+
+
+@pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_chow_closed_form_matches_ladder_oracle(config):
+    report = fit_asymptotics(config)
+    for r in range(1, 9):
+        got = chow_weight_algebraic(config, r, report)
+        mu, coeffs, residual = oracles.chow_ladder(config, r, report)
+        assert (got.mu, got.tilde_w_coeffs, got.futaki_residual) == (mu, coeffs, residual), r
+
+
+@pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_chow_sweep_reads_no_slice_above_its_levels(config, monkeypatch):
+    report = fit_asymptotics(config)
+    levels = []
+    real = asymptotics.graded_slice
+
+    def counted(config, k):
+        levels.append(k)
+        return real(config, k)
+
+    asymptotics._slice.cache_clear()
+    monkeypatch.setattr(asymptotics, "graded_slice", counted)
+    chow_sweep(config, range(1, 11), report)
+    assert levels and max(levels) <= max(10, report.stability_window[1])
 
 
 def test_chow_sweep_monotone_envelope():

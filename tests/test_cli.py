@@ -65,6 +65,15 @@ def test_chow_payload(tmp_path):
     assert payload["operator_norm"]["pass"] is True
 
 
+def test_chow_numeric_runs_every_level(tmp_path):
+    code = run(["chow", DL, "--numeric", "--k", "1,2", "--samples", "8192"], tmp_path)
+    rows = load(tmp_path, "conic_double_line_chow")["numeric"]
+    assert [row["k"] for row in rows] == [1, 2]
+    assert [row["exact_mu"] for row in rows] == ["2/3", "8/5"]
+    # the exit code is the worst row's
+    assert code == (0 if all(row["pass"] for row in rows) else 3)
+
+
 def test_n2_cross_check(tmp_path):
     assert run(["n2", DL, "--samples", "20000", "--seed", "3"], tmp_path) == 0
     payload = load(tmp_path, "conic_double_line_n2")

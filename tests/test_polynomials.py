@@ -26,6 +26,29 @@ def poly(text: str, variables=XYZ) -> Polynomial:
     return parse_polynomial(text, variables)
 
 
+def grevlex_cmp(p, q) -> int:
+    """Classical graded-reverse-lex: return -1 if p > q (p precedes), +1 if q > p."""
+    dp, dq = sum(p), sum(q)
+    if dp != dq:
+        return -1 if dp > dq else 1
+    for a, b in zip(reversed(p), reversed(q)):
+        if a != b:
+            # larger monomial has the *smaller* trailing exponent
+            return -1 if a < b else 1
+    return 0
+
+
+def compare(order: TermOrder, p, q) -> int:
+    """Reference comparator: -1 if p precedes q, 0 if equal, +1 if q precedes p."""
+    if p == q:
+        return 0
+    wp = monomial_weight(p, order.weights)
+    wq = monomial_weight(q, order.weights)
+    if wp != wq:
+        return -1 if wp < wq else 1
+    return grevlex_cmp(p, q)
+
+
 # -- parsing -------------------------------------------------------------------
 
 
@@ -167,11 +190,11 @@ def test_monic_normalizes_lead_to_one():
 @given(exponents, exponents, exponents, st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)))
 def test_order_is_total_and_transitive(p, q, r, weights):
     order = TermOrder(weights)
-    assert order.compare(p, q) == -order.compare(q, p)
-    assert (order.compare(p, q) == 0) == (p == q)
-    if order.compare(p, q) <= 0 and order.compare(q, r) <= 0:
-        assert order.compare(p, r) <= 0
-    assert (order.sort_key(p) < order.sort_key(q)) == (order.compare(p, q) < 0)
+    assert compare(order, p, q) == -compare(order, q, p)
+    assert (compare(order, p, q) == 0) == (p == q)
+    if compare(order, p, q) <= 0 and compare(order, q, r) <= 0:
+        assert compare(order, p, r) <= 0
+    assert (order.sort_key(p) < order.sort_key(q)) == (compare(order, p, q) < 0)
 
 
 def test_uniform_weight_shift_keeps_equal_degree_comparisons():
@@ -179,7 +202,9 @@ def test_uniform_weight_shift_keeps_equal_degree_comparisons():
     shifted = TermOrder((5, 5, 6))
     for p in monomials_of_degree(3, 3):
         for q in monomials_of_degree(3, 3):
-            assert base.compare(p, q) == shifted.compare(p, q)
+            assert (base.sort_key(p) < base.sort_key(q)) == (
+                shifted.sort_key(p) < shifted.sort_key(q)
+            )
 
 
 # -- monomial helpers ------------------------------------------------------------
