@@ -35,7 +35,6 @@ from .geometry import (
 from .groebner import buchberger, initial_ideal, is_groebner_basis, normal_form
 from .polynomials import Polynomial, TermOrder, parse_polynomial
 from .rays import (
-    ChowNumericReport,
     ComparisonReport,
     EnergyReport,
     PointGrid,
@@ -58,7 +57,6 @@ from .spectra import GradedSlice, TestConfiguration, graded_slice, spectrum_tabl
 __all__ = [
     "AsymptoticReport",
     "Chart",
-    "ChowNumericReport",
     "ChowReport",
     "ChowSweep",
     "ComparisonReport",

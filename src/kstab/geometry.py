@@ -7,8 +7,7 @@ choice the mass of a curve equals its degree, moment-matrix traces equal
 cycle degrees, and the Bergman density integrates to the section count.
 
 Monte Carlo integration draws chart parameters from the Fubini-Study law
-itself, which keeps importance weights bounded for polynomial charts (a
-log-spaced scale mixture of it when a flow moves the mass outward).  Every
+itself, which keeps importance weights bounded for polynomial charts.  Every
 estimate runs through one batch loop, so it is a deterministic function of
 (seed, sample count): fixed batch size, one generator substream per (chart,
 batch), pairwise-tree reduction, and a quarter-vs-full consistency check.
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .polynomials import Polynomial
 
@@ -115,36 +113,13 @@ def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
 # -- the sampling law ---------------------------------------------------------
 
 
-def _draw_batch(
-    rng: np.random.Generator, size: int, d: int, scales: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """FS-law parameters in C^d (scale-mixed when scales has several entries) and their pdf."""
+def _draw_batch(rng: np.random.Generator, size: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """FS-law parameters in C^d and their pdf."""
     v = rng.random((size, d))
     theta = rng.random((size, d))
     r = np.sqrt(v / (1.0 - v))
     u = r * np.exp(2j * math.pi * theta)
-    if scales is None or len(scales) == 1:
-        return u, np.prod(1.0 / (math.pi * (1.0 + r**2) ** 2), axis=1)
-    idx = rng.integers(0, len(scales), size)
-    u = scales[idx][:, None] * u
-    # exact mixture pdf: mean over scale components of prod_i R^2/(pi (R^2+|u_i|^2)^2)
-    r2 = (np.abs(u) ** 2)[None, :, :]
-    s2 = (scales**2)[:, None, None]
-    comp = np.prod(s2 / (math.pi * (s2 + r2) ** 2), axis=2)
-    return u, np.mean(comp, axis=0)
-
-
-def flow_scale_set(t: float, spread: float) -> np.ndarray | None:
-    """Log-spaced importance scales covering a one-parameter flow at time t.
-
-    Under z -> e^(t lambda) z the integrand mass migrates to chart radii up
-    to exp(|t| * spread); single-scale sampling would miss it silently.
-    """
-    reach = abs(t) * spread
-    if reach <= 1.0:
-        return None
-    count = int(min(48, max(4, math.ceil(reach) + 1)))
-    return np.exp(np.linspace(0.0, reach + math.log(2.0), count))
+    return u, np.prod(1.0 / (math.pi * (1.0 + r**2) ** 2), axis=1)
 
 
 # -- deterministic batched Monte Carlo ----------------------------------------
@@ -199,7 +174,6 @@ def _batch_means(
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
-    scales: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], int, list[list[np.ndarray]]]:
     """The one batch loop: (seed tuple, batch count, per-chart lists of batch means).
 
@@ -215,7 +189,7 @@ def _batch_means(
     for ci, chart in enumerate(charts):
         means = []
         for b in range(n_batches):
-            u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim, scales)
+            u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim)
             m = np.asarray(batch_mean(chart, u, pdf))
             if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
                 raise ValueError(
@@ -249,7 +223,6 @@ def mc_charts(
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
-    scales: np.ndarray | None = None,
 ) -> MCResult:
     """Multiplicity-weighted sum of per-chart Monte Carlo means.
 
@@ -257,7 +230,7 @@ def mc_charts(
     per-sample contribution (importance weight included).  The stderr is
     the per-chart batch scatter, combined over charts.
     """
-    seed, n_batches, per_chart = _batch_means(charts, batch_mean, n_samples, seed, scales)
+    seed, n_batches, per_chart = _batch_means(charts, batch_mean, n_samples, seed)
     n_quarter = max(1, n_batches // 4)
     totals = []
     variances = []
@@ -438,6 +411,8 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
         raise ValueError(
             "gram matrix is numerically singular: basis dependent on cycle"
         )
+    from scipy.linalg import solve_triangular
+
     M = solve_triangular(L, np.eye(len(weights), dtype=complex), lower=True)
     blocks = []
     i = 0
@@ -456,7 +431,7 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
 def _embedded_jet(
     chart: Chart, u: np.ndarray, gs_matrix: np.ndarray, exponents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jet of the orthonormal-section embedding along the chart.
+    """Jet of the section embedding along the chart.
 
     Returns (W, dW, norm) where W = M m(zhat) (B, D) and dW (B, d, D) uses
     the exact relation dW_true = |F|^(k-1) * dW, W_true = |F|^k * W; the
@@ -482,28 +457,17 @@ def embedded_mc(
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
-    lambdas: np.ndarray | None = None,
-    t: float = 0.0,
 ) -> MCResult:
-    """Monte Carlo integral over the cycle embedded by the orthonormal sections.
+    """Monte Carlo integral over the cycle embedded by the sections gs_matrix @ m.
 
-    The embedding is optionally flowed by exp(t lambda), and then sampled
-    from a scale mixture sized to the flow so the migrating mass is
-    captured.  reduce(w, V) gets the importance weights w (B,) of the FS
-    volume of the embedded image and its unit points V (B, D), and returns
-    the batch mean of the integrand.
+    reduce(w, V) gets the importance weights w (B,) of the FS volume of the
+    embedded image and its unit points V (B, D), and returns the batch mean
+    of the integrand.
     """
     exponents = np.asarray(exponents, dtype=int)
-    flowing = lambdas is not None and t != 0.0
-    scales = None
-    if flowing:
-        scales = flow_scale_set(t, float(np.max(lambdas) - np.min(lambdas)))
-        factors = np.exp(t * lambdas)
 
     def mean(chart, u, pdf):
         W, dW, nrm = _embedded_jet(chart, u, gs_matrix, exponents)
-        if flowing:
-            W, dW = W * factors[None, :], dW * factors[None, None, :]
         # common per-sample rescale: projectively immaterial, prevents overflow
         peak = np.max(np.abs(W), axis=1)
         if np.any(peak == 0):
@@ -512,7 +476,7 @@ def embedded_mc(
         dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
         return reduce(dens / pdf, W / np.linalg.norm(W, axis=1, keepdims=True))
 
-    return mc_charts(charts, mean, n_samples, seed, scales=scales)
+    return mc_charts(charts, mean, n_samples, seed)
 
 
 def moment_matrix(
@@ -521,17 +485,14 @@ def moment_matrix(
     exponents: np.ndarray,
     n_samples: int,
     seed,
-    lambdas: np.ndarray | None = None,
-    t: float = 0.0,
 ) -> tuple[np.ndarray, MCResult]:
     """Moment matrix int z_a conj(z_b)/|z|^2 over the embedded cycle image.
 
     The measure is the FS volume of the embedding by the orthonormal
-    sections (optionally flowed by exp(t lambda)); the trace estimates the
-    image degree.
+    sections; the trace estimates the image degree.
     """
     result = embedded_mc(
-        charts, gs_matrix, exponents, _weighted_outer_mean, n_samples, seed, lambdas, t
+        charts, gs_matrix, exponents, _weighted_outer_mean, n_samples, seed
     )
     return hermitian_part(result.value), result
 

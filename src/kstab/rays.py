@@ -8,8 +8,9 @@ the frame by exp(t A_k) produces the ray of potentials
 
 evaluated here on finite point grids.  The module builds those grids,
 assembles the shift-and-sup envelope over a ladder of levels, and computes
-the energy-slope diagnostics (Chow weight limit, Monge-Ampere mass budget,
-two-level comparison bounds, sup/osc growth).
+the energy diagnostics (Monge-Ampere mass budget, two-level comparison
+bounds, sup/osc growth) and the sampled Chow weight, an unflowed integral
+over the flat-limit cycle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import polygamma
 
 from .asymptotics import AsymptoticReport, chow_weight_algebraic, futaki_f
 from .geometry import (
@@ -311,6 +311,8 @@ def build_ray_grid(
 
     gaps = [float(np.max(np.abs(phi_zero[i] - phi_zero[-1]))) for i in range(len(frames))]
     big_c = max(k * k * e for k, e in zip(k_set, gaps))
+    from scipy.special import polygamma
+
     c_k = tuple(2.0 * big_c * float(polygamma(1, k)) for k in k_set)
     eps_k = tuple(1.0 / math.sqrt(k) for k in k_set)
 
@@ -440,6 +442,13 @@ class EnergyReport:
     sampled energy slope at t=0 and edot_minus_inf = -mu(Z_k, A_k) exact;
     convexity of the energy makes the true mass nonnegative, so estimates
     below -5 stderr indicate a bug, not geometry.
+
+    edot_zero is energy_derivative, (n+1) Tr((B + B*) M).  In that
+    normalization the slope over the flat limit X_0 is 2 mu/n! (see
+    chow_weight_numeric), so -mu is not minus the X_0 slope.  On
+    conic_double_line at k = 1 it is the slope of the ray's own limit:
+    exp(t A_1) takes the fiber to {xz = 0} as t -> -infinity, where the
+    slope is -2/3 = -mu, while X_0 = 2{y = 0} has slope 4/3 = 2 mu.
     """
 
     k: int
@@ -483,73 +492,40 @@ def ma_mass(
     )
 
 
-@dataclass(frozen=True)
-class ChowNumericReport:
-    """Flow-limit estimate of the Chow weight mu(Z_k, A_k).
-
-    value = -Edot(t_probe); gap compares against the doubled probe time (a
-    convergence proxy); convex_ok checks the slope is still descending from
-    t_probe/2, the direction convexity forces.
-    """
-
-    k: int
-    t_probe: float
-    value: float
-    stderr: float
-    gap: float
-    convex_ok: bool
-    estimates: dict
-
-
 def chow_weight_numeric(
-    fiber: Sequence[Chart],
-    frame: SectionFrame,
-    t_probe: float,
+    config: TestConfiguration,
+    cycle: Sequence[Chart],
+    k: int,
     n: int,
     n_samples: int,
     seed: int,
-) -> ChowNumericReport:
-    """-Edot at a deep probe time along the level-k Bergman ray.
+) -> MCResult:
+    """mu(Z_k, A_k) as an FS integral over the flat-limit cycle, no flow.
 
-    Edot(t) = (n+1) int z*(B+B*)z/|z|^2 over the flowed embedded cycle with
-    B = diag(lambdas): energy_derivative of the flowed moment matrix, reduced
-    per sample to its diagonal.
+    Z_k is the cycle X_0 (cycle charts with their multiplicities) embedded
+    by the level-k standard monomials, and A_k = diag(lambda) carries the
+    traceless weights of graded_slice(config, k).  A_k fixes Z_k, so its
+    Chow weight is a moment integral.  With h = sum lambda_a |z_a|^2/|z|^2
+    and omega the FS form (mass 1 on a line), the traceless total weight of
+    H^0(Z_k, O(p)) grows as p^(n+1)/n! int h omega^n (Duistermaat-Heckman).
+    chow_weight_algebraic reads mu as (n+1)! times that p^(n+1)
+    coefficient, so mu = (n+1) int_{Z_k} h omega^n.  The sampled measure is
+    omega^n/n!, hence the (n+1)! per sample.
+
+    In energy_derivative's normalization, with M the moment matrix of Z_k
+    and B = diag(lambda), (n+1) Tr((B + B*) M) = 2 (n+1) sum_a lambda_a
+    M_aa = 2 mu/n!: the 2 is the B + B* of a real generator, and on a curve
+    the slope is 2 mu.
     """
-    if t_probe > -10:
-        raise ValueError("probe time must be at most -10 for a usable limit")
-    two_lambda = 2.0 * frame.lambdas
+    sl = graded_slice(config, k)
+    exponents = np.array(sl.monomials, dtype=int)
+    lambdas = np.array([float(a) for a in sl.a_spectrum])
 
-    def slope(w, V):
-        return (n + 1) * np.mean(w * ((np.abs(V) ** 2) @ two_lambda))
+    def reduce(w, V):
+        return math.factorial(n + 1) * np.mean(w * ((np.abs(V) ** 2) @ lambdas))
 
-    estimates = {}
-    for slot, (tag, t) in enumerate(
-        (("probe", t_probe), ("double", 2 * t_probe), ("half", t_probe / 2))
-    ):
-        estimates[tag] = embedded_mc(
-            fiber,
-            frame.matrix,
-            frame.exponents,
-            slope,
-            n_samples,
-            (seed, frame.k, 2, slot),
-            frame.lambdas,
-            t,
-        )
-    e_probe = estimates["probe"]
-    e_half = estimates["half"]
-    gap = abs(e_probe.value - estimates["double"].value)
-    convex_ok = (-e_probe.value) >= (-e_half.value) - 3.0 * (
-        e_probe.stderr + e_half.stderr
-    )
-    return ChowNumericReport(
-        k=frame.k,
-        t_probe=t_probe,
-        value=-e_probe.value,
-        stderr=e_probe.stderr,
-        gap=gap,
-        convex_ok=convex_ok,
-        estimates=estimates,
+    return embedded_mc(
+        cycle, np.eye(len(lambdas)), exponents, reduce, n_samples, (seed, k, 2)
     )
 
 

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kstab import cli
 from kstab.cli import main
 
@@ -72,6 +74,25 @@ def test_chow_numeric_runs_every_level(tmp_path):
     assert [row["exact_mu"] for row in rows] == ["2/3", "8/5"]
     # the exit code is the worst row's
     assert code == (0 if all(row["pass"] for row in rows) else 3)
+
+
+@pytest.mark.parametrize(
+    "name", ["conic_double_line", "conic_two_lines", "product_p1", "trivial_p1"]
+)
+def test_chow_numeric_passes_with_default_flags(tmp_path, name):
+    assert run(["chow", str(config_path(name)), "--numeric"], tmp_path) == 0
+    (row,) = load(tmp_path, f"{name}_chow")["numeric"]
+    assert sorted(row) == [
+        "consistency_ok",
+        "exact_mu",
+        "k",
+        "pass",
+        "rel_error",
+        "samples",
+        "seed",
+        "stderr",
+        "value",
+    ]
 
 
 def test_n2_cross_check(tmp_path):
@@ -214,6 +235,21 @@ def test_console_entry_point(tmp_path):
     assert "spectrum" in proc.stdout
 
 
+def test_import_leaves_scipy_unloaded():
+    # SciPy is imported only by the functions that call it
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, kstab, kstab.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # -- validation failures (exit 2) -----------------------------------------------------
 
 
@@ -281,6 +317,18 @@ def test_n2_without_cycle(tmp_path, capsys):
     path = write_config(tmp_path)
     assert run(["n2", path, "--samples", "4096"], tmp_path) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+def test_chow_numeric_without_cycle(tmp_path, capsys):
+    path = write_config(
+        tmp_path, fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"]}]
+    )
+    assert run(["chow", path, "--numeric", "--samples", "4096"], tmp_path) == 2
+    assert "cycle" in capsys.readouterr().err
+
+
+def test_t_probe_flag_is_gone(tmp_path):
+    assert run(["chow", DL, "--numeric", "--t-probe", "-15"], tmp_path) == 2
 
 
 def test_sampling_law_key_is_rejected(tmp_path, capsys):

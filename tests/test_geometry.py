@@ -17,7 +17,6 @@ from kstab.geometry import (
     bergman_density,
     energy_derivative,
     equivariant_gram_schmidt,
-    flow_scale_set,
     fs_density_values,
     fs_mass,
     fs_volume_density,
@@ -132,14 +131,6 @@ def test_nonfinite_integrand_is_located():
 
     with pytest.raises(ValueError, match="chart"):
         mc_integrate([LINE], bad, 8192, 0)
-
-
-def test_flow_scale_set_edges():
-    assert flow_scale_set(0.0, 1.0) is None
-    scales = flow_scale_set(-30.0, 2.0)
-    assert scales is not None
-    assert len(scales) <= 48
-    assert scales[0] == pytest.approx(1.0)
 
 
 # -- monomial evaluation ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from kstab import (
     energy_derivative,
     fit_asymptotics,
     geometric_t_grid,
+    graded_slice,
     grid_points,
     ma_mass,
     parse_polynomial,
@@ -26,9 +27,9 @@ from kstab import (
     slope_report,
     sup_osc_report,
 )
-from kstab.geometry import bergman_density
+from kstab.geometry import Chart, bergman_density
 
-from conftest import RAY_LEVELS
+from conftest import RAY_LEVELS, SAMPLES, SEED
 
 
 # -- point grids -------------------------------------------------------------------
@@ -228,28 +229,54 @@ def test_ma_mass_report(double_line, dl_frames, dl_report):
     assert rep.mass_times_k == pytest.approx(4 * rep.mass)
 
 
-def test_chow_weight_numeric_needs_far_probe(double_line, dl_frames):
-    _, fiber, _ = double_line
-    with pytest.raises(ValueError, match="-10"):
-        chow_weight_numeric(fiber, dl_frames[4], -2.0, 1, 10_000, 0)
-
-
 @pytest.mark.parametrize("k", [1, 2])
-def test_chow_slope_is_the_flowed_moment_trace(double_line, k):
-    # the probe slope is energy_derivative of the flowed moment matrix from
-    # the same draws, reduced per sample to its diagonal
-    config, fiber, _ = double_line
-    frame = section_frame(config, fiber, k, 8192, 3)
-    t_probe, seed = -15.0, 3
-    numeric = chow_weight_numeric(fiber, frame, t_probe, 1, 8192, seed)
+def test_chow_slope_is_the_cycle_moment_trace(double_line, k):
+    # on a curve the Chow reduction is half the energy_derivative of the
+    # unflowed moment matrix of the cycle, from the same draws
+    config, _, cycle = double_line
+    sl = graded_slice(config, k)
+    exponents = np.array(sl.monomials, dtype=int)
+    lambdas = np.array([float(a) for a in sl.a_spectrum])
+    seed = 3
+    numeric = chow_weight_numeric(config, cycle, k, 1, 8192, seed)
     M, _ = moment_matrix(
-        fiber,
-        frame.matrix,
-        frame.exponents,
-        8192,
-        (seed, k, 2, 0),
-        lambdas=frame.lambdas,
-        t=t_probe,
+        cycle, np.eye(len(lambdas)), exponents, 8192, (seed, k, 2)
     )
-    want = energy_derivative(M, np.diag(frame.lambdas), 1)
-    assert numeric.estimates["probe"].value == pytest.approx(want, rel=1e-12, abs=0)
+    want = energy_derivative(M, np.diag(lambdas), 1) / 2
+    assert numeric.value == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize(
+    "fixture", ["two_lines", "double_line", "product_p1", "trivial_p1"]
+)
+def test_chow_weight_numeric_reads_the_exact_weight(request, fixture, k):
+    config, _, cycle = request.getfixturevalue(fixture)
+    report = fit_asymptotics(config)
+    numeric = chow_weight_numeric(config, cycle, k, report.n, SAMPLES, SEED)
+    exact = float(chow_weight_algebraic(config, k, report).mu)
+    assert abs(numeric.value - exact) <= 4 * numeric.stderr
+    assert numeric.consistency_ok
+
+
+def test_chow_weight_numeric_on_a_surface():
+    # the quadric xw = yz degenerates to the planes y = 0 and z = 0; the
+    # sampled measure is omega^2/2!, so this pins the (n+1)! of the reduction
+    names = ("x", "y", "z", "w")
+    config = TestConfiguration(
+        name="quadric_two_planes",
+        variables=names,
+        weights=(0, 0, 0, 1),
+        generators=(parse_polynomial("x*w - y*z", names),),
+    )
+    params = ("u", "v")
+    cycle = [
+        Chart(params=params, components=tuple(parse_polynomial(c, params) for c in comps))
+        for comps in (("1", "0", "u", "v"), ("1", "u", "0", "v"))
+    ]
+    report = fit_asymptotics(config)
+    assert report.n == 2
+    for k in (1, 2):
+        numeric = chow_weight_numeric(config, cycle, k, 2, SAMPLES, SEED)
+        exact = float(chow_weight_algebraic(config, k, report).mu)
+        assert abs(numeric.value - exact) <= 4 * numeric.stderr
