@@ -17,18 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Sequence
 
-from .spectra import GradedSlice, TestConfiguration, graded_slice
+from .spectra import TestConfiguration, graded_slice
 
 DEGREE_CAP = 64
-
-
-@lru_cache(maxsize=None)
-def _slice(config: TestConfiguration, k: int) -> GradedSlice:
-    return graded_slice(config, k)
 
 
 def newton_power_coefficients(
@@ -156,7 +150,7 @@ class AsymptoticReport:
 
 
 def _extremal_fit(
-    values: Callable[[int], Fraction | None],
+    values: Callable[[int], int | None],
     k_start: int,
     cap: int = DEGREE_CAP,
 ) -> PolynomialFit | None:
@@ -184,10 +178,10 @@ def fit_asymptotics(config: TestConfiguration, k_start: int = 1) -> AsymptoticRe
     nvars = len(config.variables)
 
     def d(k: int) -> Fraction:
-        return Fraction(_slice(config, k).dim)
+        return Fraction(graded_slice(config, k).dim)
 
     def w(k: int) -> Fraction:
-        return Fraction(_slice(config, k).total_weight)
+        return Fraction(graded_slice(config, k).total_weight)
 
     found = None
     for k0 in range(k_start, DEGREE_CAP + 1):
@@ -227,45 +221,31 @@ def fit_asymptotics(config: TestConfiguration, k_start: int = 1) -> AsymptoticRe
     f0 = b_top / a_n
     f1 = (b_sub * a_n - b_top * a_n1) / a_n**2
 
-    def tr_b_sq(k: int) -> Fraction:
-        return Fraction(sum(b * b for b in _slice(config, k).b_spectrum))
-
-    trb2 = fit_eventually_polynomial(tr_b_sq, n + 2, k_start=k0, validation=n + 3)
+    trb2 = fit_eventually_polynomial(
+        lambda k: graded_slice(config, k).tr_b_sq, n + 2, k_start=k0, validation=n + 3
+    )
     n2_sq = trb2.coefficient(n + 2) - b_top**2 / a_n
     if n2_sq < 0:
         raise ValueError("negative leading coefficient for Tr A_k^2; inconsistent data")
 
     k_edge = hi
 
-    def b_min(k: int) -> Fraction:
-        return Fraction(_slice(config, k).b_spectrum[0])
+    min_fit = _extremal_fit(lambda k: graded_slice(config, k).b_spectrum[0], k0)
+    lam = None if min_fit is None else min_fit.coefficient(1) - f0
+    lam_exact = min_fit is not None
+    lam_emp = float(graded_slice(config, k_edge).lambda_min / k_edge)
 
-    min_fit = _extremal_fit(b_min, k0)
-    if min_fit is not None:
-        lam = min_fit.coefficient(1) - f0
-        lam_exact = True
-    else:
-        lam = None
-        lam_exact = False
-    lam_emp = float(_slice(config, k_edge).lambda_min / k_edge)
-
-    def b_next(k: int) -> Fraction | None:
-        sl = _slice(config, k)
-        nxt = next((b for b in sl.b_spectrum if b != sl.b_spectrum[0]), None)
-        return None if nxt is None else Fraction(nxt)
+    def b_next(k: int) -> int | None:
+        b = graded_slice(config, k).b_spectrum
+        return next((x for x in b if x != b[0]), None)
 
     if b_next(k_edge) is None:
         gam, gam_exact, gam_emp = None, True, None  # constant spectrum: no gap
     else:
         next_fit = _extremal_fit(b_next, k0)
-        if next_fit is not None:
-            gam = next_fit.coefficient(1) - f0
-            gam_exact = True
-        else:
-            gam = None
-            gam_exact = False
-        nxt = _slice(config, k_edge).lambda_next
-        gam_emp = None if nxt is None else float(nxt / k_edge)
+        gam = None if next_fit is None else next_fit.coefficient(1) - f0
+        gam_exact = next_fit is not None
+        gam_emp = float(graded_slice(config, k_edge).lambda_next / k_edge)
 
     return AsymptoticReport(
         n=n,
@@ -292,7 +272,7 @@ def futaki_f(
     """Exact f(k) = w_k/(k d_k) - F_0; satisfies f(k) = F_1/k + O(1/k^2)."""
     if report is None:
         report = fit_asymptotics(config)
-    sl = _slice(config, k)
+    sl = graded_slice(config, k)
     return Fraction(sl.total_weight, k * sl.dim) - report.F_0
 
 
@@ -342,7 +322,7 @@ def chow_weight_algebraic(
     if report is None:
         report = fit_asymptotics(config)
     n = report.n
-    sl = _slice(config, r)
+    sl = graded_slice(config, r)
     d_r, w_r = sl.dim, sl.total_weight
     zero = Fraction(0)
     a_prev = (zero,) + report.hilbert_coeffs  # a_prev[i] = a_(i-1)
@@ -401,7 +381,7 @@ def operator_norm_check(
         report = fit_asymptotics(config)
     c_star = Fraction(0)
     for k in range(1, k_max + 1):
-        sl = _slice(config, k)
+        sl = graded_slice(config, k)
         local = max(abs(sl.a_spectrum[0]), abs(sl.a_spectrum[-1])) / Fraction(k)
         c_star = max(c_star, local)
     budget = Fraction(max(abs(w) for w in config.weights)) + abs(report.F_0) + 1

@@ -6,15 +6,22 @@ the standard-monomial basis of the flat limit's degree-k slice; this module
 computes that diagonal spectrum, its trace, the traceless version, and the
 scalar summaries (dimension, total weight, trace of the squared traceless
 generator, extremal eigenvalues) that the asymptotic layer interpolates.
+
+Slices are built degree by degree, each from the one below, so a level
+costs about its own dimension, not the count of all degree-k monomials;
+the arithmetic stays in integers up to the traceless Fractions.  One cache
+holds each configuration's levels, and every reader shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .groebner import buchberger, leading_exponent_set, standard_monomials
-from .polynomials import Exponents, Polynomial, TermOrder, monomial_weight, parse_polynomial
+from .polynomials import Exponents, Polynomial, TermOrder, monomial_divides, monomial_weight
+from .polynomials import parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -64,15 +71,9 @@ class TestConfiguration:
         unit = (0,) * len(self.variables)
         if unit in leads:
             raise ValueError("generators span the unit ideal: the scheme is empty")
-        # a pure power of every variable among the initial leads makes the
-        # quotient artinian, i.e. the projective scheme is empty
-        for j in range(len(self.variables)):
-            if not any(
-                e[j] > 0 and all(e[i] == 0 for i in range(len(e)) if i != j)
-                for e in leads
-            ):
-                break
-        else:
+        # a pure power of every variable among the initial leads (e[j] == sum(e),
+        # as no lead is 1) makes the quotient artinian: the scheme is empty
+        if all(any(e[j] == sum(e) for e in leads) for j in range(len(self.variables))):
             raise ValueError(
                 "generators cut out the empty scheme: every variable is nilpotent"
                 " in the quotient"
@@ -90,24 +91,16 @@ class TestConfiguration:
         polys = tuple(parse_polynomial(g, tuple(variables)) for g in generators)
         return TestConfiguration(name, tuple(variables), tuple(int(w) for w in weights), polys)
 
-    def shifted(self, constant: int) -> "TestConfiguration":
-        """Same ideal with every coordinate weight shifted by the constant."""
-        return TestConfiguration(
-            self.name,
-            self.variables,
-            tuple(w + constant for w in self.weights),
-            self.generators,
-        )
-
 
 @dataclass(frozen=True)
 class GradedSlice:
     """Degree-k slice data of a test configuration.
 
-    b_spectrum lists the raw monomial weights (the diagonal of the weight
-    generator on the degree-k slice), ascending; a_spectrum is its traceless
-    shift b - w/d.  tr_a_sq is the exact trace of the squared traceless
-    generator, sum(b^2) - w^2/d.
+    monomials are the standard monomials ordered by (weight, exponents), and
+    b_spectrum their raw weights in that order (the diagonal of the weight
+    generator on the slice), so ascending; tr_b_sq is sum(b^2).  a_spectrum
+    is the traceless shift b - w/d, and tr_a_sq the exact trace of the
+    squared traceless generator, sum(b^2) - w^2/d.
     """
 
     k: int
@@ -115,49 +108,72 @@ class GradedSlice:
     b_spectrum: tuple[int, ...]
     dim: int
     total_weight: int
+    tr_b_sq: int
     a_spectrum: tuple[Fraction, ...]
     tr_a_sq: Fraction
     lambda_min: Fraction
     lambda_next: Fraction | None
 
-    @property
-    def mean_weight(self) -> Fraction:
-        return Fraction(self.total_weight, self.dim)
+
+@lru_cache(maxsize=None)
+def _levels(config: TestConfiguration) -> list[GradedSlice]:
+    """The slices of a configuration built so far: level k at index k - 1."""
+    return []
 
 
 def graded_slice(config: TestConfiguration, k: int) -> GradedSlice:
+    """The degree-k slice; missing levels are built in a loop from the top cached one."""
     if k < 1:
         raise ValueError("degree must be a positive integer")
-    monomials = tuple(
-        standard_monomials(config.initial_leads, len(config.variables), k)
-    )
-    if not monomials:
-        raise ValueError(f"degree-{k} slice is empty")
-    pairs = sorted(
-        ((monomial_weight(m, config.weights), m) for m in monomials),
-        key=lambda item: (item[0], item[1]),
-    )
+    levels = _levels(config)
+    while len(levels) < k:
+        levels.append(_next_level(config, levels[-1] if levels else None))
+    return levels[k - 1]
+
+
+def _next_level(config: TestConfiguration, below: GradedSlice | None) -> GradedSlice:
+    """The slice one degree above `below`, or level 1 (a scan) when it is None.
+
+    A standard monomial e with last variable x_i is x_i * m for a standard
+    m = e / x_i one degree lower, as standard monomials form an order ideal.
+    So x_i * m over the m below and the i at or past m's last variable
+    reaches each candidate once; it is kept unless an initial lead divides
+    it, and its weight is w(m) + eta_i.
+    """
+    eta = config.weights
+    nvars = len(eta)
+    if below is None:
+        ones = standard_monomials(config.initial_leads, nvars, 1)
+        pairs = sorted((monomial_weight(m, eta), m) for m in ones)
+    else:
+        # only a lead with a positive i-th exponent can divide x_i * m but not m
+        leads = [[lead for lead in config.initial_leads if lead[i]] for i in range(nvars)]
+        pairs = []
+        for b, m in zip(below.b_spectrum, below.monomials):
+            last = nvars - 1
+            while not m[last]:
+                last -= 1
+            for i in range(last, nvars):
+                e = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                if not any(monomial_divides(lead, e) for lead in leads[i]):
+                    pairs.append((b + eta[i], e))
+        pairs.sort()
     b_spectrum = tuple(b for b, _ in pairs)
-    ordered = tuple(m for _, m in pairs)
-    dim = len(b_spectrum)
-    total = sum(b_spectrum)
-    mean = Fraction(total, dim)
-    a_spectrum = tuple(b - mean for b in b_spectrum)
-    tr_a_sq = sum((Fraction(b) ** 2 for b in b_spectrum), Fraction(0)) - Fraction(
-        total**2, dim
-    )
-    lam_min = a_spectrum[0]
-    lam_next = next((lam for lam in a_spectrum if lam != lam_min), None)
+    dim, total = len(pairs), sum(b_spectrum)
+    tr_b_sq = sum(b * b for b in b_spectrum)
+    distinct = sorted(set(b_spectrum))
+    shift = {b: Fraction(dim * b - total, dim) for b in distinct}  # one Fraction per weight
     return GradedSlice(
-        k=k,
-        monomials=ordered,
+        k=1 if below is None else below.k + 1,
+        monomials=tuple(m for _, m in pairs),
         b_spectrum=b_spectrum,
         dim=dim,
         total_weight=total,
-        a_spectrum=a_spectrum,
-        tr_a_sq=tr_a_sq,
-        lambda_min=lam_min,
-        lambda_next=lam_next,
+        tr_b_sq=tr_b_sq,
+        a_spectrum=tuple(shift[b] for b in b_spectrum),
+        tr_a_sq=Fraction(dim * tr_b_sq - total * total, dim),
+        lambda_min=shift[distinct[0]],
+        lambda_next=shift[distinct[1]] if len(distinct) > 1 else None,
     )
 
 

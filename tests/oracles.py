@@ -3,7 +3,8 @@
 Every routine here reaches its answer by a different route than the package:
 quotient dimensions come from exact row reduction over the rationals applied
 to the generators themselves (no Groebner step), standard-monomial spectra
-come from divisibility filtering against hand-derived initial ideals, series
+come from divisibility filtering against hand-derived initial ideals, whole
+slices come from scanning every ambient monomial of the degree, series
 coefficients come from exact rational-function division, interpolation uses
 Lagrange instead of Newton differences, chart integrals use radial
 quadrature instead of Monte Carlo, and Chow weights come from fitting the
@@ -89,6 +90,35 @@ def standard_weights(
             continue
         out.append(sum(w * e for w, e in zip(weights, m)))
     return sorted(out)
+
+
+def scanned_slice(config, k: int) -> dict:
+    """Degree-k slice fields by scanning every degree-k monomial.
+
+    Each monomial of the ambient ring is tested against the initial leads,
+    and each weight is shifted by the mean as its own Fraction, a different
+    route from the package's degree-by-degree integer build.
+    """
+    pairs = sorted(
+        (sum(w * e for w, e in zip(config.weights, m)), m)
+        for m in monomials(len(config.variables), k)
+        if not any(all(li <= mi for li, mi in zip(lead, m)) for lead in config.initial_leads)
+    )
+    b = tuple(w for w, _ in pairs)
+    dim, total = len(b), sum(b)
+    mean = Fraction(total, dim)
+    a = tuple(x - mean for x in b)
+    return {
+        "monomials": tuple(m for _, m in pairs),
+        "b_spectrum": b,
+        "dim": dim,
+        "total_weight": total,
+        "tr_b_sq": sum(x * x for x in b),
+        "a_spectrum": a,
+        "tr_a_sq": sum((Fraction(x) ** 2 for x in b), Fraction(0)) - Fraction(total**2, dim),
+        "lambda_min": a[0],
+        "lambda_next": next((x for x in a if x != a[0]), None),
+    }
 
 
 def series_top_two(

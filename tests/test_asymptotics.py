@@ -15,14 +15,16 @@ from kstab import (
     chow_weight_algebraic,
     fit_asymptotics,
     futaki_f,
+    graded_slice,
     operator_norm_check,
     parse_polynomial,
 )
-from kstab import asymptotics
+from kstab import spectra
 from kstab.asymptotics import fit_eventually_polynomial
 
 import oracles
 
+V5 = ("a", "b", "c", "d", "e")
 V4 = ("x", "y", "z", "w")
 V3 = ("x", "y", "z")
 V2 = ("x", "y")
@@ -169,6 +171,25 @@ CHOW_ORACLE_CONFIGS = [
 ]
 
 
+SLICE_ORACLE_CONFIGS = CHOW_ORACLE_CONFIGS + [
+    TestConfiguration.from_strings("p4", V5, (0, 1, 1, 2, 3), ()),
+    TestConfiguration.from_strings(
+        "p4-complete-intersection", V5, (0, 1, 1, 2, 3), ("a*e - b*d", "a*c - b^2 + d*e")
+    ),
+]
+
+
+@pytest.mark.parametrize("config", SLICE_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_slices_match_the_scan_oracle(config):
+    spectra._levels.cache_clear()
+    cold = graded_slice(config, 9)  # built with the levels below it from an empty cache
+    for k in range(1, 13):
+        expected = oracles.scanned_slice(config, k)
+        got = graded_slice(config, k)
+        assert {name: getattr(got, name) for name in expected} == expected, k
+    assert graded_slice(config, 9) is cold
+
+
 @pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
 def test_chow_closed_form_matches_ladder_oracle(config):
     report = fit_asymptotics(config)
@@ -182,14 +203,15 @@ def test_chow_closed_form_matches_ladder_oracle(config):
 def test_chow_sweep_reads_no_slice_above_its_levels(config, monkeypatch):
     report = fit_asymptotics(config)
     levels = []
-    real = asymptotics.graded_slice
+    real = spectra._next_level
 
-    def counted(config, k):
-        levels.append(k)
-        return real(config, k)
+    def counted(config, below):
+        built = real(config, below)
+        levels.append(built.k)
+        return built
 
-    asymptotics._slice.cache_clear()
-    monkeypatch.setattr(asymptotics, "graded_slice", counted)
+    spectra._levels.cache_clear()
+    monkeypatch.setattr(spectra, "_next_level", counted)
     chow_sweep(config, range(1, 11), report)
     assert levels and max(levels) <= max(10, report.stability_window[1])
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kstab import cli
+from kstab import cli, spectra
 from kstab.cli import main
 
 from conftest import config_path
@@ -208,6 +208,24 @@ def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):
     payload = load(tmp_path, "conic_double_line_report")
     assert [row["k"] for row in payload["mass"]["rows"]] == [2, 3, 4, 6]
     assert payload["ray"]["k_set"] == [4, 8, 16]
+
+
+def test_report_builds_each_slice_once(tmp_path, monkeypatch):
+    built = []
+    real = spectra._next_level
+
+    def counted(config, below):
+        sl = real(config, below)
+        built.append((config, sl.k))
+        return sl
+
+    spectra._levels.cache_clear()
+    monkeypatch.setattr(spectra, "_next_level", counted)
+    run(["report", DL, "--samples", "4096"], tmp_path)
+    # the fit, the Chow sweep, the operator-norm check and the frames share
+    # one cache: levels 1..30 of the one configuration, each built once
+    assert len(set(built)) == len(built) == 30
+    assert [k for _, k in built] == list(range(1, 31))
 
 
 def test_seed_echoed(tmp_path):

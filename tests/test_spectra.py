@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kstab import TestConfiguration, graded_slice, parse_polynomial, spectrum_table
+from kstab import spectra
 
 import oracles
 
@@ -165,3 +166,12 @@ def test_free_ring_has_no_leads():
 def test_degree_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         graded_slice(p1((1, 0)), 0)
+
+
+def test_high_level_is_built_without_recursion():
+    # every level below 1500 is built first, in a loop: no RecursionError
+    try:
+        s = graded_slice(conic((0, 0, 1), name="conic-high"), 1500)
+        assert (s.dim, s.total_weight) == (2 * 1500 + 1, 1500**2)
+    finally:
+        spectra._levels.cache_clear()  # release the 1500 levels
