@@ -1,16 +1,18 @@
 """Exact asymptotics of the per-degree data of a test configuration.
 
-The dimension d_k and total weight w(k) of the degree-k slices agree with
-polynomials in k once k is large enough.  This module finds those
-polynomials by exact Newton interpolation over a verified window, then reads
-off the scale-invariant quantities: the leading ratio F_0, the
-Donaldson-Futaki invariant F_1 (the 1/k coefficient of w(k)/(k d_k)), the
-squared norm coefficient of Tr A_k^2 at k^(n+2), the extremal slope limits
-of lambda_min/k and the spectral-gap analogue, and the per-level Chow
-weights read in closed form from the two fitted polynomials.
+The dimension d_k, total weight w(k) and Tr B_k^2 of the degree-k slices
+are polynomials in k from a start that the initial leads bound
+(`regularity_start`).  This module interpolates those polynomials exactly
+on nodes from that start, then reads off the scale-invariant quantities:
+the leading ratio F_0, the Donaldson-Futaki invariant F_1 (the 1/k
+coefficient of w(k)/(k d_k)), the squared norm coefficient of Tr A_k^2 at
+k^(n+2), the extremal slope limits of lambda_min/k and the spectral-gap
+analogue, and the per-level Chow weights read in closed form from the two
+fitted polynomials.
 
-Everything is computed in rational arithmetic; a fit is accepted only if it
-reproduces several further exact values beyond its interpolation nodes.
+Everything is computed in rational arithmetic.  Only the spectral-gap
+limit is still a search: its linear fit is accepted when it reproduces
+several further exact values beyond its interpolation nodes.
 """
 
 from __future__ import annotations
@@ -114,13 +116,18 @@ def fit_eventually_polynomial(
 class AsymptoticReport:
     """Interpolated Hilbert and weight data plus the derived invariants.
 
-    hilbert_coeffs and weight_coeffs list polynomial coefficients in
-    ascending powers of k.  F_0 is the leading ratio of w(k)/(k d_k), F_1
-    its 1/k coefficient (the Donaldson-Futaki invariant), n2_sq the k^(n+2)
-    coefficient of Tr A_k^2.  Lambda and Gamma are the exact limits of
-    lambda_min/k and lambda_next/k when the extremal raw weights are
-    eventually linear in k; otherwise the *_exact flag is False and only the
-    float sample at the window edge is reported.
+    hilbert_coeffs, weight_coeffs and tr_b_sq_coeffs list the exact
+    polynomials D(k), W(k) and Tr B_k^2 in ascending powers of k; they equal
+    d_k, w(k) and Tr B_k^2 at every k >= stability_window[0], the proven
+    start.  stability_window ends at the last level the fit read: its last
+    interpolation node, or the end of Gamma's checked window if that is
+    later.  F_0 is the leading ratio of w(k)/(k d_k), F_1 its 1/k
+    coefficient (the Donaldson-Futaki invariant), n2_sq the k^(n+2)
+    coefficient of Tr A_k^2, and Lambda the exact limit of lambda_min/k.
+    Gamma is the exact limit of lambda_next/k when the second-lowest raw
+    weight is eventually linear in k on a checked window; otherwise
+    gamma_exact is False and only gamma_empirical, the float sample at the
+    last interpolation node, is reported.
     """
 
     n: int
@@ -131,9 +138,7 @@ class AsymptoticReport:
     F_0: Fraction
     F_1: Fraction
     n2_sq: Fraction
-    Lambda: Fraction | None
-    lambda_exact: bool
-    lambda_empirical: float
+    Lambda: Fraction
     Gamma: Fraction | None
     gamma_exact: bool
     gamma_empirical: float | None
@@ -165,100 +170,86 @@ def _extremal_fit(
         return None
 
 
-def fit_asymptotics(config: TestConfiguration, k_start: int = 1) -> AsymptoticReport:
-    """Verified-window interpolation of d_k, w(k), Tr B_k^2 and the limits.
+def regularity_start(config: TestConfiguration) -> int:
+    """A level k0 from which d_k, w(k) and Tr B_k^2 are polynomials in k.
 
-    The window search accepts the smallest start k0 >= k_start and dimension
-    n such that degree-n interpolation of d_k on [k0, k0+n] and degree-(n+1)
-    interpolation of w(k) on [k0, k0+n+1] reproduce the next n+3 exact
-    values.  Failure below k = 64 raises (unstable Hilbert data).
+    By inclusion-exclusion over the initial leads, each of the three is a
+    signed sum, over the lcms L of sets of leads, of the count, weight sum
+    or squared weight sum of L times the monomials of degree k - deg L in N
+    variables.  Each such sum is a polynomial in k once k - deg L >= 1 - N,
+    and every L divides the lcm of all leads, so
+    k0 = max(1, deg lcm(initial_leads) - N + 1).
     """
-    if k_start < 1:
-        raise ValueError("k_start must be >= 1")
+    leads, nvars = config.initial_leads, len(config.variables)
+    top = sum(max((e[j] for e in leads), default=0) for j in range(nvars))
+    return max(1, top - nvars + 1)
+
+
+def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
+    """Exact D(k), W(k) and Tr B_k^2 from the proven start, and the limits.
+
+    From k0 = regularity_start(config) on, the three are polynomials of
+    degree at most N-1, N and N+1 (N the number of variables), so
+    interpolation on the N+2 nodes k0..k0+N+1 gives them exactly and needs
+    no further check; n is the degree of D.  Raises before building any
+    level when the last node passes DEGREE_CAP.
+    """
     nvars = len(config.variables)
-
-    def d(k: int) -> Fraction:
-        return Fraction(graded_slice(config, k).dim)
-
-    def w(k: int) -> Fraction:
-        return Fraction(graded_slice(config, k).total_weight)
-
-    found = None
-    for k0 in range(k_start, DEGREE_CAP + 1):
-        for n in range(nvars):
-            hi = k0 + 2 * n + 4
-            if hi > DEGREE_CAP:
-                break
-            d_nodes = list(range(k0, k0 + n + 1))
-            d_coeffs = newton_power_coefficients(
-                [Fraction(x) for x in d_nodes], [d(x) for x in d_nodes]
-            )
-            if len(d_coeffs) - 1 != n:
-                continue  # true degree found at a smaller n already
-            w_nodes = list(range(k0, k0 + n + 2))
-            w_coeffs = newton_power_coefficients(
-                [Fraction(x) for x in w_nodes], [w(x) for x in w_nodes]
-            )
-            extra = range(k0 + n + 1, hi + 1)
-            if all(eval_power(d_coeffs, k) == d(k) for k in extra) and all(
-                eval_power(w_coeffs, k) == w(k) for k in range(k0 + n + 2, hi + 1)
-            ):
-                found = (k0, n, d_coeffs, w_coeffs, hi)
-                break
-        if found:
-            break
-    if not found:
+    k0 = regularity_start(config)
+    k_edge = k0 + nvars + 1
+    if k_edge > DEGREE_CAP:
         raise ValueError(
-            "no stable interpolation window below k = 64: "
-            "unstable Hilbert data (is the ideal saturated?)"
+            f"the initial leads' lcm puts the proven start of the Hilbert data at "
+            f"k = {k0}, so the fit needs levels up to {k_edge}, past the cap "
+            f"k = {DEGREE_CAP}"
         )
-    k0, n, d_coeffs, w_coeffs, hi = found
+    nodes = range(k0, k_edge + 1)
+    xs, slices = [Fraction(k) for k in nodes], [graded_slice(config, k) for k in nodes]
+    d_coeffs, w_coeffs, trb2_coeffs = (
+        newton_power_coefficients(xs, [Fraction(getattr(s, name)) for s in slices])
+        for name in ("dim", "total_weight", "tr_b_sq")
+    )
 
-    a_n = d_coeffs[n]
-    a_n1 = d_coeffs[n - 1] if n >= 1 else Fraction(0)
-    b_top = w_coeffs[n + 1] if len(w_coeffs) > n + 1 else Fraction(0)
-    b_sub = w_coeffs[n] if len(w_coeffs) > n else Fraction(0)
+    def at(coeffs: tuple[Fraction, ...], power: int) -> Fraction:
+        return coeffs[power] if 0 <= power < len(coeffs) else Fraction(0)
+
+    n = len(d_coeffs) - 1
+    a_n, a_n1 = d_coeffs[n], at(d_coeffs, n - 1)
+    b_top, b_sub = at(w_coeffs, n + 1), at(w_coeffs, n)
     f0 = b_top / a_n
     f1 = (b_sub * a_n - b_top * a_n1) / a_n**2
+    n2_sq = at(trb2_coeffs, n + 2) - b_top**2 / a_n
 
-    trb2 = fit_eventually_polynomial(
-        lambda k: graded_slice(config, k).tr_b_sq, n + 2, k_start=k0, validation=n + 3
-    )
-    n2_sq = trb2.coefficient(n + 2) - b_top**2 / a_n
-    if n2_sq < 0:
-        raise ValueError("negative leading coefficient for Tr A_k^2; inconsistent data")
-
-    k_edge = hi
-
-    min_fit = _extremal_fit(lambda k: graded_slice(config, k).b_spectrum[0], k0)
-    lam = None if min_fit is None else min_fit.coefficient(1) - f0
-    lam_exact = min_fit is not None
-    lam_emp = float(graded_slice(config, k_edge).lambda_min / k_edge)
+    # x_j^k is standard for every k exactly when no lead is a power of x_j;
+    # every other variable's exponent stays below its pure-power lead, so
+    # lambda_min/k tends to the least weight of such an x_j, minus F_0
+    leads = config.initial_leads
+    free = (eta for j, eta in enumerate(config.weights) if not any(e[j] == sum(e) for e in leads))
+    lam = min(free) - f0
 
     def b_next(k: int) -> int | None:
         b = graded_slice(config, k).b_spectrum
         return next((x for x in b if x != b[0]), None)
 
-    if b_next(k_edge) is None:
-        gam, gam_exact, gam_emp = None, True, None  # constant spectrum: no gap
-    else:
+    hi, gam, gam_exact, gam_emp = k_edge, None, True, None
+    if b_next(k_edge) is not None:  # else a constant spectrum: no gap
         next_fit = _extremal_fit(b_next, k0)
-        gam = None if next_fit is None else next_fit.coefficient(1) - f0
         gam_exact = next_fit is not None
         gam_emp = float(graded_slice(config, k_edge).lambda_next / k_edge)
+        if gam_exact:
+            gam = next_fit.coefficient(1) - f0
+            hi = max(hi, next_fit.window[1])
 
     return AsymptoticReport(
         n=n,
         hilbert_coeffs=d_coeffs,
         weight_coeffs=w_coeffs,
-        tr_b_sq_coeffs=trb2.coeffs,
+        tr_b_sq_coeffs=trb2_coeffs,
         stability_window=(k0, hi),
         F_0=f0,
         F_1=f1,
         n2_sq=n2_sq,
         Lambda=lam,
-        lambda_exact=lam_exact,
-        lambda_empirical=lam_emp,
         Gamma=gam,
         gamma_exact=gam_exact,
         gamma_empirical=gam_emp,
@@ -302,16 +293,16 @@ def chow_weight_algebraic(
     """Exact Chow weight mu(Z_r, A_r) in closed form from the fitted polynomials.
 
     The degree-p slices of the image of X under the level-r embedding are
-    the level-rp slices of X, so for rp >= k0 (the start of the verified
-    window, where d_k = D(k) and w(k) = W(k)) the two-level ladder
+    the level-rp slices of X, so for rp >= k0 (the proven start, from which
+    d_k = D(k) and w(k) = W(k)) the two-level ladder
     W(rp)*r*d_r - w(r)*(rp)*D(rp) is the polynomial in p whose p^i
     coefficient is c_i = r^i (r d_r b_i - w(r) a_(i-1)).  Its leading
     coefficient gives
 
         mu = (n+1)! r^n (r d_r b_(n+1) - w(r) a_n) / d_r,
 
-    so only the level-r slice is read.  Like any reading of the ladder's
-    coefficients, this assumes D and W hold for every k >= k0.
+    so only the level-r slice is read.  The ladder's p-polynomial is exact
+    for rp >= k0, because D and W hold at every k >= k0 (`regularity_start`).
 
     The normalization c_X_omega = 1 / (a_n (n+1)!) makes the residual vanish
     in the large-r limit: r d_r b_(n+1) - w(r) a_n has leading behaviour

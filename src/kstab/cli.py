@@ -304,8 +304,6 @@ def _futaki_payload(report) -> dict:
         "F_1": report.F_1,
         "n2_sq": report.n2_sq,
         "Lambda": report.Lambda,
-        "lambda_exact": report.lambda_exact,
-        "lambda_empirical": report.lambda_empirical,
         "Gamma": report.Gamma,
         "gamma_exact": report.gamma_exact,
         "gamma_empirical": report.gamma_empirical,

@@ -24,7 +24,7 @@ from .polynomials import Exponents, Polynomial, TermOrder, monomial_divides, mon
 from .polynomials import parse_polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestConfiguration:
     """Homogeneous ideal plus coordinate weights, with its Groebner data.
 
@@ -32,6 +32,8 @@ class TestConfiguration:
     degeneration t . x_i = t^(-eta_i) x_i flows to the initial ideal as
     t -> 0.  Construction validates the input and computes the reduced
     Groebner basis once; slices in each degree are read off from it.
+    Equality and hashing are by identity, so a cache keyed on a
+    configuration does not hash its Groebner basis on every read.
     """
 
     name: str

@@ -214,9 +214,10 @@ def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...],
     """(mu, ladder coefficients, Futaki residual) from the enumerated ladder.
 
     Fits p -> w(rp)*r*d_r - w(r)*(rp)*d_rp from the exact slices at levels
-    rp, starting at the first p with rp >= k0 of the verified window, with
-    n+3 further values checked past the interpolation nodes.  mu is
-    (n+1)! times the p^(n+1) coefficient over r*d_r.
+    rp, starting at the first p with rp >= k0, the fit's proven start, and
+    does not trust that start: it searches for its own window and checks
+    n+3 further values past the interpolation nodes.  mu is (n+1)! times
+    the p^(n+1) coefficient over r*d_r.
     """
     n = report.n
     k0 = report.stability_window[0]

@@ -20,7 +20,7 @@ from kstab import (
     parse_polynomial,
 )
 from kstab import spectra
-from kstab.asymptotics import fit_eventually_polynomial
+from kstab.asymptotics import eval_power, fit_eventually_polynomial, regularity_start
 
 import oracles
 
@@ -61,7 +61,7 @@ def test_double_line_report_exact():
     assert r.tr_b_sq_coeffs == (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(2, 3))
     assert (r.F_0, r.F_1, r.n2_sq) == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 6))
     assert (r.Lambda, r.Gamma) == (Fraction(-1, 2), Fraction(-1, 2))
-    assert r.stability_window == (1, 7)
+    assert r.stability_window == (1, 5)
     assert r.degree_volume == 2
 
 
@@ -199,9 +199,8 @@ def test_chow_closed_form_matches_ladder_oracle(config):
         assert (got.mu, got.tilde_w_coeffs, got.futaki_residual) == (mu, coeffs, residual), r
 
 
-@pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
-def test_chow_sweep_reads_no_slice_above_its_levels(config, monkeypatch):
-    report = fit_asymptotics(config)
+def record_built_levels(monkeypatch) -> list[int]:
+    """Empty the slice cache and record the level of every slice built after."""
     levels = []
     real = spectra._next_level
 
@@ -212,8 +211,81 @@ def test_chow_sweep_reads_no_slice_above_its_levels(config, monkeypatch):
 
     spectra._levels.cache_clear()
     monkeypatch.setattr(spectra, "_next_level", counted)
+    return levels
+
+
+@pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_chow_sweep_reads_no_slice_above_its_levels(config, monkeypatch):
+    report = fit_asymptotics(config)
+    levels = record_built_levels(monkeypatch)
     chow_sweep(config, range(1, 11), report)
     assert levels and max(levels) <= max(10, report.stability_window[1])
+
+
+# -- the proven start -------------------------------------------------------------
+
+FERMAT_10 = TestConfiguration.from_strings("fermat-10", V3, (0, 1, 2), ("x^10 + y^10 + z^10",))
+LATE_MINIMUM = TestConfiguration.from_strings("late-minimum", V3, (0, -10, 1), ("y^2", "x*y"))
+
+PROVEN_START_CONFIGS = [
+    FERMAT_10,
+    LATE_MINIMUM,
+    TestConfiguration.from_strings("embedded-point", V3, (1, 0, 2), ("x^2", "x*y")),
+    TestConfiguration.from_strings("two-leads-p3", V4, (0, 1, 2, 3), ("x*y", "z^3*w")),
+    TestConfiguration.from_strings("nilpotent-y", V4, (2, -1, 0, 5), ("x^2*y", "y^3", "x*z^2")),
+]
+
+
+@pytest.mark.parametrize(
+    "config", SLICE_ORACLE_CONFIGS + PROVEN_START_CONFIGS, ids=lambda c: c.name
+)
+def test_fit_holds_from_the_proven_start(config):
+    report = fit_asymptotics(config)
+    k0 = regularity_start(config)
+    assert report.stability_window[0] == k0
+    fitted = (report.hilbert_coeffs, report.weight_coeffs, report.tr_b_sq_coeffs)
+    for k in range(k0, k0 + 11):
+        sl = graded_slice(config, k)
+        assert tuple(eval_power(c, k) for c in fitted) == (sl.dim, sl.total_weight, sl.tr_b_sq), k
+
+
+def test_proven_start_is_sharp_for_the_degree_ten_curve():
+    report = fit_asymptotics(FERMAT_10)
+    k0 = regularity_start(FERMAT_10)
+    assert k0 == 8
+    # every degree-7 monomial is standard, one more than D(7) = 35
+    assert graded_slice(FERMAT_10, k0 - 1).dim == 36
+    assert eval_power(report.hilbert_coeffs, k0 - 1) == 35
+
+
+def test_degree_ten_plane_curve_is_a_curve():
+    report = fit_asymptotics(FERMAT_10)
+    assert report.n == 1
+    assert report.hilbert_coeffs == (Fraction(-35), Fraction(10))
+    assert report.degree_volume == 10
+    assert report.F_1 == Fraction(-27, 4)
+
+
+def test_lambda_reads_the_free_variables_not_the_early_minimum():
+    # the lowest weight is k - 11 (from y z^(k-1)) until k = 11, then 0 (x^k)
+    lowest = [graded_slice(LATE_MINIMUM, k).b_spectrum[0] for k in (1, 10, 11, 12)]
+    assert lowest == [-10, -1, 0, 0]
+    assert fit_asymptotics(LATE_MINIMUM).Lambda == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("config", SLICE_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_fit_builds_no_level_above_its_window(config, monkeypatch):
+    levels = record_built_levels(monkeypatch)
+    report = fit_asymptotics(config)
+    assert levels and max(levels) <= report.stability_window[1]
+
+
+def test_fit_past_the_cap_raises_before_building_a_level(monkeypatch):
+    config = TestConfiguration.from_strings("fermat-70", V3, (0, 1, 2), ("x^70 + y^70 + z^70",))
+    levels = record_built_levels(monkeypatch)
+    with pytest.raises(ValueError, match="k = 68.*up to 72.*k = 64"):
+        fit_asymptotics(config)
+    assert levels == []
 
 
 def test_chow_sweep_monotone_envelope():

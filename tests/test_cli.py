@@ -56,6 +56,7 @@ def test_futaki_payload_exact_strings(tmp_path):
     assert payload["n2_sq"] == "1/6"
     assert payload["Lambda"] == "-1/2"
     assert payload["trivial_action"] is False
+    assert "lambda_exact" not in payload and "lambda_empirical" not in payload
 
 
 def test_chow_payload(tmp_path):
@@ -357,6 +358,14 @@ def test_sampling_law_key_is_rejected(tmp_path, capsys):
     assert run(["ray", path, "--k", "2,3", "--samples", "4096"], tmp_path) == 2
     err = capsys.readouterr().err
     assert "fiber[0]" in err and "'law'" in err
+
+
+def test_lead_degree_past_the_level_cap(tmp_path, capsys):
+    path = write_config(tmp_path, weights=[0, 1, 2], generators=["x^70 + y^70 + z^70"])
+    assert run(["futaki", path], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "k = 68" in err and "up to 72" in err and "cap k = 64" in err
+    assert not (tmp_path / "probe_futaki.json").exists()
 
 
 def test_envelope_needs_three_levels(tmp_path, capsys):
