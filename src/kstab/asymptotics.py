@@ -10,9 +10,9 @@ k^(n+2), the extremal slope limits of lambda_min/k and the spectral-gap
 analogue, and the per-level Chow weights read in closed form from the two
 fitted polynomials.
 
-Everything is computed in rational arithmetic.  Only the spectral-gap
-limit is still a search: its linear fit is accepted when it reproduces
-several further exact values beyond its interpolation nodes.
+Everything is computed in rational arithmetic, and nothing is searched:
+the two slope limits are read in closed form from the initial leads and
+the weights.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .spectra import TestConfiguration, graded_slice
 
@@ -55,63 +55,6 @@ def newton_power_coefficients(
     return tuple(coeffs)
 
 
-def eval_power(coeffs: Sequence[Fraction], x) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-@dataclass(frozen=True)
-class PolynomialFit:
-    coeffs: tuple[Fraction, ...]
-    window: tuple[int, int]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        return eval_power(self.coeffs, x)
-
-    def coefficient(self, power: int) -> Fraction:
-        return self.coeffs[power] if power < len(self.coeffs) else Fraction(0)
-
-
-def fit_eventually_polynomial(
-    values: Callable[[int], Fraction],
-    max_degree: int,
-    k_start: int = 1,
-    validation: int = 3,
-    cap: int = DEGREE_CAP,
-) -> PolynomialFit:
-    """Smallest-start exact polynomial fit of an eventually polynomial map.
-
-    Searches start points k0 >= k_start and degrees 0..max_degree; a
-    candidate interpolation is accepted only if it also reproduces the next
-    `validation` values exactly.  Raises on failure below the cap: the usual
-    cause is an unsaturated ideal whose Hilbert data never stabilizes.
-    """
-    for k0 in range(k_start, cap + 1):
-        for deg in range(max_degree + 1):
-            hi = k0 + deg + validation
-            if hi > cap:
-                break
-            nodes = list(range(k0, k0 + deg + 1))
-            coeffs = newton_power_coefficients(
-                [Fraction(x) for x in nodes], [Fraction(values(x)) for x in nodes]
-            )
-            if all(
-                eval_power(coeffs, k) == values(k)
-                for k in range(k0 + deg + 1, hi + 1)
-            ):
-                return PolynomialFit(coeffs, (k0, hi))
-    raise ValueError(
-        f"no stable polynomial window of degree <= {max_degree} found below "
-        f"k = {cap}: unstable Hilbert data (is the ideal saturated?)"
-    )
-
-
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Interpolated Hilbert and weight data plus the derived invariants.
@@ -119,15 +62,12 @@ class AsymptoticReport:
     hilbert_coeffs, weight_coeffs and tr_b_sq_coeffs list the exact
     polynomials D(k), W(k) and Tr B_k^2 in ascending powers of k; they equal
     d_k, w(k) and Tr B_k^2 at every k >= stability_window[0], the proven
-    start.  stability_window ends at the last level the fit read: its last
-    interpolation node, or the end of Gamma's checked window if that is
-    later.  F_0 is the leading ratio of w(k)/(k d_k), F_1 its 1/k
-    coefficient (the Donaldson-Futaki invariant), n2_sq the k^(n+2)
-    coefficient of Tr A_k^2, and Lambda the exact limit of lambda_min/k.
-    Gamma is the exact limit of lambda_next/k when the second-lowest raw
-    weight is eventually linear in k on a checked window; otherwise
-    gamma_exact is False and only gamma_empirical, the float sample at the
-    last interpolation node, is reported.
+    start.  stability_window ends at the last interpolation node, the
+    last level the fit read.  F_0 is the leading ratio of w(k)/(k d_k),
+    F_1 its 1/k coefficient (the Donaldson-Futaki invariant), n2_sq the
+    k^(n+2) coefficient of Tr A_k^2, Lambda the exact limit of
+    lambda_min/k and Gamma that of lambda_next/k, None when the spectrum
+    is eventually a single weight.
     """
 
     n: int
@@ -140,8 +80,6 @@ class AsymptoticReport:
     n2_sq: Fraction
     Lambda: Fraction
     Gamma: Fraction | None
-    gamma_exact: bool
-    gamma_empirical: float | None
     trivial_action: bool
 
     @property
@@ -152,22 +90,6 @@ class AsymptoticReport:
     def degree_volume(self) -> Fraction:
         """Degree of (X, L): n! times the Hilbert leading coefficient."""
         return factorial(self.n) * self.a_n
-
-
-def _extremal_fit(
-    values: Callable[[int], int | None],
-    k_start: int,
-    cap: int = DEGREE_CAP,
-) -> PolynomialFit | None:
-    """Degree-<=1 fit of an extremal weight sequence, None if not linear."""
-    if any(values(k) is None for k in (k_start, k_start + 1)):
-        return None
-    try:
-        return fit_eventually_polynomial(
-            lambda k: Fraction(values(k)), 1, k_start=k_start, validation=4, cap=cap
-        )
-    except (ValueError, TypeError):
-        return None
 
 
 def regularity_start(config: TestConfiguration) -> int:
@@ -193,6 +115,36 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
     interpolation on the N+2 nodes k0..k0+N+1 gives them exactly and needs
     no further check; n is the degree of D.  Raises before building any
     level when the last node passes DEGREE_CAP.
+
+    The slope limits are read from the initial leads.  Call x_j free when
+    no lead is a pure power of it, so that x_j^k is standard at every k.
+    Any other variable's exponent stays below its pure-power lead, so a
+    degree-k standard monomial has weight at least k eta* - O(1), where
+    eta* is the least free weight, and x_j^k attains k eta* for the free
+    x_j in J, the free variables of weight eta*.  So lambda_min/k tends
+    to Lambda = eta* - F_0.  For Gamma, the limit of lambda_next/k:
+
+    - If some j in J and some i with eta_i != eta* have no lead of the
+      form x_i x_j^a (a >= 0), then x_i x_j^(k-1) is standard at every k
+      (a lead dividing it would be a power of x_j or such an x_i x_j^a),
+      and its weight k eta* + eta_i - eta* differs from k eta*.  So the
+      second-lowest weight is also k eta* + O(1), and Gamma = Lambda.
+    - Otherwise let A bound the exponents a of those leads.  A standard
+      monomial of weight k eta* + O(1) has bounded exponents outside J:
+      the non-free ones by their pure powers, the free ones because each
+      adds at least its excess over eta*, which the bounded non-free ones
+      cannot outweigh.  Once its J-part has degree above |J| A, some
+      x_j (j in J) has exponent above A, so the monomial holds no x_i of
+      weight other than eta*: its weight is exactly k eta*.  Every
+      remaining standard monomial lies in a Stanley cone m k[x_S] with S
+      a set of free variables; S cannot meet J (x_i x_j^a with i in S
+      would divide some of it) and must be nonempty to reach large k, so
+      the cone's least weight grows with slope min_S eta, at least
+      eta_2 = min{eta_j : x_j free, eta_j > eta*}.  x_(j2)^k attains
+      k eta_2, so Gamma = eta_2 - F_0.
+    - If no free weight exceeds eta*, that same argument leaves only
+      weight k eta* at large k: the spectrum is eventually constant and
+      Gamma is None.
     """
     nvars = len(config.variables)
     k0 = regularity_start(config)
@@ -220,39 +172,34 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
     f1 = (b_sub * a_n - b_top * a_n1) / a_n**2
     n2_sq = at(trb2_coeffs, n + 2) - b_top**2 / a_n
 
-    # x_j^k is standard for every k exactly when no lead is a power of x_j;
-    # every other variable's exponent stays below its pure-power lead, so
-    # lambda_min/k tends to the least weight of such an x_j, minus F_0
-    leads = config.initial_leads
-    free = (eta for j, eta in enumerate(config.weights) if not any(e[j] == sum(e) for e in leads))
-    lam = min(free) - f0
-
-    def b_next(k: int) -> int | None:
-        b = graded_slice(config, k).b_spectrum
-        return next((x for x in b if x != b[0]), None)
-
-    hi, gam, gam_exact, gam_emp = k_edge, None, True, None
-    if b_next(k_edge) is not None:  # else a constant spectrum: no gap
-        next_fit = _extremal_fit(b_next, k0)
-        gam_exact = next_fit is not None
-        gam_emp = float(graded_slice(config, k_edge).lambda_next / k_edge)
-        if gam_exact:
-            gam = next_fit.coefficient(1) - f0
-            hi = max(hi, next_fit.window[1])
+    leads, eta = config.initial_leads, config.weights
+    free = [j for j in range(nvars) if not any(e[j] == sum(e) for e in leads)]
+    eta_star = min(eta[j] for j in free)
+    lam = eta_star - f0
+    above = [eta[j] for j in free if eta[j] > eta_star]
+    # some x_i x_j^(k-1), j in J and eta_i != eta*, is standard at every k
+    if any(
+        not any(e[i] == 1 and e[i] + e[j] == sum(e) for e in leads)
+        for j in free
+        if eta[j] == eta_star
+        for i in range(nvars)
+        if eta[i] != eta_star
+    ):
+        gam = lam
+    else:
+        gam = min(above) - f0 if above else None
 
     return AsymptoticReport(
         n=n,
         hilbert_coeffs=d_coeffs,
         weight_coeffs=w_coeffs,
         tr_b_sq_coeffs=trb2_coeffs,
-        stability_window=(k0, hi),
+        stability_window=(k0, k_edge),
         F_0=f0,
         F_1=f1,
         n2_sq=n2_sq,
         Lambda=lam,
         Gamma=gam,
-        gamma_exact=gam_exact,
-        gamma_empirical=gam_emp,
         trivial_action=(n2_sq == 0),
     )
 

@@ -305,8 +305,6 @@ def _futaki_payload(report) -> dict:
         "n2_sq": report.n2_sq,
         "Lambda": report.Lambda,
         "Gamma": report.Gamma,
-        "gamma_exact": report.gamma_exact,
-        "gamma_empirical": report.gamma_empirical,
         "trivial_action": report.trivial_action,
     }
 
@@ -387,8 +385,8 @@ def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     lam = _ambient_lambda(inputs.config)
     result = n2_integral(inputs.cycle, lam, run.samples, run.seed)
     exact = inputs.fit.n2_sq
-    scale = float(exact) if exact else 1.0
-    rel = abs(result.value - float(exact)) / abs(scale) if scale else abs(result.value)
+    scale = abs(float(exact)) or 1.0
+    rel = abs(result.value - float(exact)) / scale
     ok = rel <= run.tol["n2"] and result.consistency_ok
     payload = {
         "a_1_diagonal": lam,

@@ -261,17 +261,6 @@ class RayGrid:
     strict_decrease: bool
     boundary_continuity: float
 
-    @property
-    def sup_slope(self) -> np.ndarray:
-        """sup_x phi(t;k) / (2|t|) per (k, t)."""
-        sup = np.max(self.phi, axis=2)
-        return sup / (2.0 * np.abs(np.array(self.t_grid))[None, :])
-
-    @property
-    def osc(self) -> np.ndarray:
-        """Grid oscillation sup - inf of phi(t;k) per (k, t)."""
-        return np.max(self.phi, axis=2) - np.min(self.phi, axis=2)
-
 
 def build_ray_grid(
     frames: Sequence[SectionFrame],

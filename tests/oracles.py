@@ -4,21 +4,24 @@ Every routine here reaches its answer by a different route than the package:
 quotient dimensions come from exact row reduction over the rationals applied
 to the generators themselves (no Groebner step), standard-monomial spectra
 come from divisibility filtering against hand-derived initial ideals, whole
-slices come from scanning every ambient monomial of the degree, series
-coefficients come from exact rational-function division, interpolation uses
-Lagrange instead of Newton differences, chart integrals use radial
-quadrature instead of Monte Carlo, and Chow weights come from fitting the
-enumerated two-level weight ladder instead of the closed form.
+slices and the spectral-gap slope come from scanning every ambient monomial
+of the degree, series coefficients come from exact rational-function
+division, interpolation uses Lagrange instead of Newton differences, chart
+integrals use radial quadrature instead of Monte Carlo, and Chow weights come
+from fitting the enumerated two-level weight ladder instead of the closed
+form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable, Sequence
 
 from scipy.integrate import quad
 
-from kstab.asymptotics import fit_eventually_polynomial
+from kstab.asymptotics import DEGREE_CAP, newton_power_coefficients
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
@@ -158,6 +161,82 @@ def lagrange_power_coeffs(xs: list[Fraction], ys: list[Fraction]) -> list[Fracti
         for t, c in enumerate(numer):
             coeffs[t] += scale * c
     return coeffs
+
+
+def eval_power(coeffs: Sequence[Fraction], x) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+@dataclass(frozen=True)
+class PolynomialFit:
+    coeffs: tuple[Fraction, ...]
+    window: tuple[int, int]
+
+    def coefficient(self, power: int) -> Fraction:
+        return self.coeffs[power] if power < len(self.coeffs) else Fraction(0)
+
+
+def fit_eventually_polynomial(
+    values: Callable[[int], Fraction],
+    max_degree: int,
+    k_start: int = 1,
+    validation: int = 3,
+    cap: int = DEGREE_CAP,
+) -> PolynomialFit:
+    """Smallest-start exact polynomial fit of an eventually polynomial map.
+
+    Searches start points k0 >= k_start and degrees 0..max_degree; a
+    candidate interpolation is accepted only if it also reproduces the next
+    `validation` values exactly.  Raises on failure below the cap: the usual
+    cause is an unsaturated ideal whose Hilbert data never stabilizes.
+    """
+    for k0 in range(k_start, cap + 1):
+        for deg in range(max_degree + 1):
+            hi = k0 + deg + validation
+            if hi > cap:
+                break
+            nodes = list(range(k0, k0 + deg + 1))
+            coeffs = newton_power_coefficients(
+                [Fraction(x) for x in nodes], [Fraction(values(x)) for x in nodes]
+            )
+            if all(
+                eval_power(coeffs, k) == values(k)
+                for k in range(k0 + deg + 1, hi + 1)
+            ):
+                return PolynomialFit(coeffs, (k0, hi))
+    raise ValueError(
+        f"no stable polynomial window of degree <= {max_degree} found below "
+        f"k = {cap}: unstable Hilbert data (is the ideal saturated?)"
+    )
+
+
+def next_weight_slope(config, report, margin: int = 30):
+    """Limit of lambda_next/k read off the scanned spectra at high levels.
+
+    Scans every monomial of degrees K, K+1 and K+2, with K the largest
+    initial-lead degree plus `margin`, and takes the second-lowest distinct
+    weight b_next at each.  Its two consecutive differences must agree (the
+    sequence is linear there); Gamma is that slope minus F_0, or None when
+    all three levels carry a single weight.
+    """
+    nvars = len(config.variables)
+    top = max((sum(e) for e in config.initial_leads), default=0) + margin
+    nexts = []
+    for k in (top, top + 1, top + 2):
+        weights = sorted({
+            sum(w * e for w, e in zip(config.weights, m))
+            for m in monomials(nvars, k)
+            if not any(all(li <= mi for li, mi in zip(lead, m)) for lead in config.initial_leads)
+        })
+        nexts.append(weights[1] if len(weights) > 1 else None)
+    if nexts == [None] * 3:
+        return None
+    if None in nexts or nexts[2] - nexts[1] != nexts[1] - nexts[0]:
+        raise ValueError(f"b_next is not linear at levels {top}..{top + 2}: {nexts}")
+    return nexts[1] - nexts[0] - report.F_0
 
 
 # -- radial quadrature over one-dimensional charts -----------------------------

@@ -5,6 +5,7 @@ series division on the closed-form w(k), d(k) pair, and Lagrange
 interpolation of oracle-enumerated per-degree data.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,10 @@ from kstab import (
     parse_polynomial,
 )
 from kstab import spectra
-from kstab.asymptotics import eval_power, fit_eventually_polynomial, regularity_start
+from kstab.asymptotics import regularity_start
 
 import oracles
+from oracles import eval_power, fit_eventually_polynomial
 
 V5 = ("a", "b", "c", "d", "e")
 V4 = ("x", "y", "z", "w")
@@ -277,7 +279,69 @@ def test_lambda_reads_the_free_variables_not_the_early_minimum():
 def test_fit_builds_no_level_above_its_window(config, monkeypatch):
     levels = record_built_levels(monkeypatch)
     report = fit_asymptotics(config)
-    assert levels and max(levels) <= report.stability_window[1]
+    k_edge = regularity_start(config) + len(config.variables) + 1
+    assert levels and max(levels) == report.stability_window[1] == k_edge
+
+
+# -- the spectral-gap slope Gamma ---------------------------------------------------
+
+GAMMA_CASES = [
+    # b_next(k) = min(-2k, -3k + 6): the early slope -2 ends at k = 6
+    (
+        TestConfiguration.from_strings("two-lines-late-gap", V3, (3, -3, -2), ("y*z",)),
+        Fraction(-13, 4),
+    ),
+    # w z^(k-1) has weight 2k - 32, so b_next(k) = k (from y^k) only from k = 32
+    (
+        TestConfiguration.from_strings(
+            "p3-second-minimum", V4, (0, 1, 2, -30), ("x*y", "x*z", "x*w", "w^2", "y*w")
+        ),
+        Fraction(-1, 2),
+    ),
+    # the two points x = 0 and y = 0: Lambda = -1/2 and Gamma = Lambda + 1
+    (TestConfiguration.from_strings("two-points", V2, (0, 1), ("x*y",)), Fraction(1, 2)),
+    (TRIVIAL, None),
+]
+
+
+@pytest.mark.parametrize("config, gamma", GAMMA_CASES, ids=[c.name for c, _ in GAMMA_CASES])
+def test_gamma_closed_form(config, gamma):
+    report = fit_asymptotics(config)
+    assert report.Gamma == gamma
+
+
+def _monomial_lead_configs(count: int, seed: int = 0) -> list[TestConfiguration]:
+    """Seeded configurations in P^1..P^3 whose generators are monomials."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        names = (V2, V3, V4)[rng.randrange(3)]
+        weights = tuple(rng.randint(-3, 3) for _ in names)
+        gens = set()
+        for _ in range(rng.randint(1, 4)):
+            expo = [0] * len(names)
+            for _ in range(rng.randint(1, 3)):
+                expo[rng.randrange(len(names))] += 1
+            gens.add("*".join(f"{v}^{e}" for v, e in zip(names, expo) if e))
+        try:
+            config = TestConfiguration.from_strings(
+                f"monomial-{len(out)}", names, weights, tuple(sorted(gens))
+            )
+        except ValueError:  # every variable nilpotent: the empty scheme
+            continue
+        out.append(config)
+    return out
+
+
+MONOMIAL_LEAD_CONFIGS = [c for c, _ in GAMMA_CASES] + _monomial_lead_configs(40)
+
+
+@pytest.mark.parametrize(
+    "config", SLICE_ORACLE_CONFIGS + MONOMIAL_LEAD_CONFIGS, ids=lambda c: c.name
+)
+def test_gamma_matches_the_high_level_slope_oracle(config):
+    report = fit_asymptotics(config)
+    assert report.Gamma == oracles.next_weight_slope(config, report)
 
 
 def test_fit_past_the_cap_raises_before_building_a_level(monkeypatch):
