@@ -25,10 +25,7 @@ from .geometry import (
     bergman_density,
     energy_derivative,
     equivariant_gram_schmidt,
-    fs_mass,
-    fs_volume_density,
     gram_matrix,
-    mc_integrate,
     moment_matrix,
     n2_integral,
 )
@@ -80,8 +77,6 @@ __all__ = [
     "energy_derivative",
     "equivariant_gram_schmidt",
     "fit_asymptotics",
-    "fs_mass",
-    "fs_volume_density",
     "futaki_f",
     "geometric_t_grid",
     "gram_matrix",
@@ -90,7 +85,6 @@ __all__ = [
     "initial_ideal",
     "is_groebner_basis",
     "ma_mass",
-    "mc_integrate",
     "moment_matrix",
     "n2_integral",
     "normal_form",

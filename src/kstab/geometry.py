@@ -11,11 +11,17 @@ itself, which keeps importance weights bounded for polynomial charts.  Every
 estimate runs through one batch loop, so it is a deterministic function of
 (seed, sample count): fixed batch size, one generator substream per (chart,
 batch), pairwise-tree reduction, and a quarter-vs-full consistency check.
+The batches run on up to two worker threads and are combined in (chart,
+batch) order, so every result is bit-identical whatever the worker count.
+Monomial tables are filled ROW_BLOCK points at a time; that work is per
+point, so the blocking changes no bit and keeps two in-flight batches small.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +30,7 @@ import numpy as np
 from .polynomials import Polynomial
 
 BATCH_SIZE = 4096
+ROW_BLOCK = 2048
 HERMITIAN_TOL = 1e-12
 PIVOT_FLOOR = 1e-10
 
@@ -102,14 +109,6 @@ def fs_density_values(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return det / math.pi**d
 
 
-def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
-    """FS volume density of the chart at a (B, d) batch of parameters."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim == 1:
-        u = u[:, None]
-    return fs_density_values(chart.values(u), chart.jacobian(u))
-
-
 # -- the sampling law ---------------------------------------------------------
 
 
@@ -169,6 +168,13 @@ def _batch_rng(seed: tuple[int, ...], chart_index: int, batch: int) -> np.random
     return np.random.default_rng(ss)
 
 
+def _worker_count() -> int:
+    """Worker threads for the batch loop: one per usable CPU, at most two."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
 def _batch_means(
     charts: Sequence[Chart],
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
@@ -179,24 +185,37 @@ def _batch_means(
 
     batch_mean is as in mc_charts.  Each (chart, batch) pair gets its own
     generator substream; sample counts are rounded up to full batches with
-    a minimum of two batches so batch scatter is defined.
+    a minimum of two batches so batch scatter is defined.  The jobs run on
+    up to _worker_count() threads and are collected in (chart, batch) order,
+    so the means, and the first error raised, do not depend on the count.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     seed = _seed_tuple(seed)
     n_batches = max(2, -(-n_samples // BATCH_SIZE))
-    per_chart = []
-    for ci, chart in enumerate(charts):
-        means = []
-        for b in range(n_batches):
-            u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim)
-            m = np.asarray(batch_mean(chart, u, pdf))
-            if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
-                raise ValueError(
-                    f"non-finite integrand in chart {ci}, batch {b} (seed {seed})"
-                )
-            means.append(m)
-        per_chart.append(means)
+    jobs = [(ci, b) for ci in range(len(charts)) for b in range(n_batches)]
+
+    def job(ci: int, b: int) -> np.ndarray:
+        u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, charts[ci].dim)
+        m = np.asarray(batch_mean(charts[ci], u, pdf))
+        if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
+            raise ValueError(f"non-finite integrand in chart {ci}, batch {b} (seed {seed})")
+        return m
+
+    workers = min(_worker_count(), len(jobs))
+    if workers == 1:
+        means = [job(ci, b) for ci, b in jobs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(job, ci, b) for ci, b in jobs]
+            try:
+                means = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    per_chart = [means[ci * n_batches : (ci + 1) * n_batches] for ci in range(len(charts))]
     return seed, n_batches, per_chart
 
 
@@ -256,45 +275,31 @@ def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarr
     return dens / pdf, z
 
 
-def fs_mass(charts: Sequence[Chart], n_samples: int, seed) -> MCResult:
-    """Total FS mass of the cycle (equals its degree for curves)."""
-
-    def mean(chart, u, pdf):
-        w, _ = _base_weight(chart, u, pdf)
-        return np.mean(w)
-
-    return mc_charts(charts, mean, n_samples, seed)
-
-
-def mc_integrate(
-    charts: Sequence[Chart],
-    integrand: Callable[[np.ndarray], np.ndarray],
-    n_samples: int,
-    seed,
-) -> MCResult:
-    """FS integral of a function of the normalized ambient coordinates."""
-
-    def mean(chart, u, pdf):
-        w, z = _base_weight(chart, u, pdf)
-        zhat = z / np.linalg.norm(z, axis=1, keepdims=True)
-        return np.mean(w * np.asarray(integrand(zhat)))
-
-    return mc_charts(charts, mean, n_samples, seed)
-
-
 # -- monomial frames ----------------------------------------------------------
 
 
+def _powers(zhat_v: np.ndarray, top: int) -> np.ndarray:
+    """Columns 1, z, ..., z^top of one variable, by repeated multiplication."""
+    powers = np.ones((len(zhat_v), top + 1), dtype=complex)
+    for e in range(1, top + 1):
+        powers[:, e] = powers[:, e - 1] * zhat_v
+    return powers
+
+
 def monomial_values(exponents: np.ndarray, zhat: np.ndarray) -> np.ndarray:
-    """Values of the degree-k monomial list at normalized points: (B, D)."""
-    B, nv = zhat.shape
-    out = np.ones((B, exponents.shape[0]), dtype=complex)
-    for v in range(nv):
-        top = int(exponents[:, v].max(initial=0))
-        powers = np.ones((B, top + 1), dtype=complex)
-        for e in range(1, top + 1):
-            powers[:, e] = powers[:, e - 1] * zhat[:, v]
-        out *= powers[:, exponents[:, v]]
+    """Values of the degree-k monomial list at normalized points: (B, D).
+
+    The gathers run ROW_BLOCK points at a time, through one small buffer.
+    """
+    out = np.ones((len(zhat), len(exponents)), dtype=complex)
+    gathered = np.empty((min(len(zhat), ROW_BLOCK), len(exponents)), dtype=complex)
+    for v, exp_v in enumerate(exponents.T):
+        powers = _powers(zhat[:, v], int(exp_v.max(initial=0)))
+        for lo in range(0, len(zhat), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            block = out[rows]
+            block *= np.take(powers[rows], exp_v, axis=1, out=gathered[: len(block)], mode="clip")
+        del powers  # before the next variable's table is built
     return out
 
 
@@ -302,28 +307,25 @@ def monomial_jet(exponents: np.ndarray, zhat: np.ndarray) -> tuple[np.ndarray, n
     """Monomial values and per-variable derivatives at normalized points.
 
     Returns (values (B, D), derivs (B, nv, D)) with derivs[b, v, a] the
-    partial of monomial a by ambient variable v at zhat[b].
+    partial of monomial a by ambient variable v at zhat[b].  Both are
+    left-to-right products over the variables, so the values after
+    variable v-1 are the common prefix of derivs[:, v]; one power table
+    and one gather buffer are live at a time.
     """
-    B, nv = zhat.shape
-    D = exponents.shape[0]
-    values = np.ones((B, D), dtype=complex)
-    per_var = []
-    for v in range(nv):
-        top = int(exponents[:, v].max(initial=0))
-        powers = np.ones((B, top + 2), dtype=complex)
-        for e in range(1, top + 2):
-            powers[:, e] = powers[:, e - 1] * zhat[:, v]
-        values *= powers[:, exponents[:, v]]
-        per_var.append(powers)
-    derivs = np.empty((B, nv, D), dtype=complex)
-    for v in range(nv):
-        exp_v = exponents[:, v]
-        lowered = np.ones((B, D), dtype=complex)
-        for w in range(nv):
-            idx = exp_v - 1 if w == v else exponents[:, w]
-            idx = np.where(idx < 0, 0, idx)
-            lowered *= per_var[w][:, idx]
-        derivs[:, v, :] = exp_v[None, :] * lowered
+    values = np.ones((len(zhat), len(exponents)), dtype=complex)
+    derivs = np.empty((len(zhat), zhat.shape[1], len(exponents)), dtype=complex)
+    gathered = np.empty_like(values)
+    for v, exp_v in enumerate(exponents.T):
+        powers = _powers(zhat[:, v], int(exp_v.max(initial=0)))
+        np.take(powers, np.where(exp_v > 0, exp_v - 1, 0), axis=1, out=gathered, mode="clip")
+        np.multiply(values, gathered, out=derivs[:, v, :])
+        np.take(powers, exp_v, axis=1, out=gathered, mode="clip")
+        del powers  # before the next variable's table is built
+        for w in range(v):
+            derivs[:, w, :] *= gathered
+        values *= gathered
+    for v, exp_v in enumerate(exponents.T):
+        np.multiply(exp_v[None, :], derivs[:, v, :], out=derivs[:, v, :])
         derivs[:, v, exp_v == 0] = 0.0
     return values, derivs
 
@@ -331,9 +333,11 @@ def monomial_jet(exponents: np.ndarray, zhat: np.ndarray) -> tuple[np.ndarray, n
 def _weighted_outer_mean(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Batch mean of w_b v_b v_b*: the (D, D) matrix (1/B) sum_b w_b V_ba conj(V_bc).
 
-    One complex matrix product, so the accumulation runs in BLAS.
+    One complex matrix product, so the accumulation runs in BLAS.  V is
+    conjugated in place; every caller hands over a batch-local array.
     """
-    return ((V * w[:, None]).T @ V.conj()) / len(w)
+    weighted = V * w[:, None]
+    return (weighted.T @ np.conjugate(V, out=V)) / len(w)
 
 
 def gram_matrix(
@@ -414,15 +418,8 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
     from scipy.linalg import solve_triangular
 
     M = solve_triangular(L, np.eye(len(weights), dtype=complex), lower=True)
-    blocks = []
-    i = 0
-    while i < len(weights):
-        j = i
-        while j < len(weights) and weights[j] == weights[i]:
-            j += 1
-        blocks.append((weights[i], j - i))
-        i = j
-    return GSResult(blocks=tuple(blocks), matrix=M)
+    blocks = tuple((w, len(list(group))) for w, group in itertools.groupby(weights))
+    return GSResult(blocks=blocks, matrix=M)
 
 
 # -- embedded cycles (Bergman geometry) ---------------------------------------
@@ -444,10 +441,16 @@ def _embedded_jet(
     if np.any(nrm == 0):
         raise ValueError("indeterminate point: all components vanish")
     zhat = z / nrm[:, None]
-    m, dm = monomial_jet(exponents, zhat)
-    W = m @ gs_matrix.T
-    dW = (dz @ dm) @ gs_matrix.T
-    return W, dW, nrm
+    # the jet is built ROW_BLOCK points at a time and contracted with dz at
+    # once, so the (B, nv, D) derivative table never exists whole
+    m = np.empty((len(u), len(exponents)), dtype=complex)
+    dm = np.empty((len(u), chart.dim, len(exponents)), dtype=complex)
+    for lo in range(0, len(u), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        m[rows], derivs = monomial_jet(exponents, zhat[rows])
+        np.matmul(dz[rows], derivs, out=dm[rows])
+        del derivs
+    return m @ gs_matrix.T, dm @ gs_matrix.T, nrm
 
 
 def embedded_mc(
@@ -472,9 +475,11 @@ def embedded_mc(
         peak = np.max(np.abs(W), axis=1)
         if np.any(peak == 0):
             raise ValueError("embedded point vanished: sections do not span here")
-        W, dW = W / peak[:, None], dW / peak[:, None, None]
+        W /= peak[:, None]
+        dW /= peak[:, None, None]
         dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
-        return reduce(dens / pdf, W / np.linalg.norm(W, axis=1, keepdims=True))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        return reduce(dens / pdf, W)
 
     return mc_charts(charts, mean, n_samples, seed)
 

@@ -9,7 +9,9 @@ of the degree, series coefficients come from exact rational-function
 division, interpolation uses Lagrange instead of Newton differences, chart
 integrals use radial quadrature instead of Monte Carlo, and Chow weights come
 from fitting the enumerated two-level weight ladder instead of the closed
-form.
+form.  The Fubini-Study mass and integral helpers at the end are the one
+exception: they run on the package's own Monte Carlo engine, and live here
+because only the tests use them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from kstab.asymptotics import DEGREE_CAP, newton_power_coefficients
+from kstab.geometry import Chart, MCResult, _base_weight, fs_density_values, mc_charts
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
@@ -318,3 +322,40 @@ def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...],
     mu = Fraction(factorial(n + 1)) * fit.coefficient(n + 1) / (r * base.dim)
     c = 1 / (report.a_n * factorial(n + 1))
     return mu, fit.coeffs, -c * mu / Fraction(r) ** n - report.F_1
+
+
+# -- Fubini-Study masses and integrals on the package's Monte Carlo engine -----
+
+
+def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
+    """FS volume density of the chart at a (B, d) batch of parameters."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim == 1:
+        u = u[:, None]
+    return fs_density_values(chart.values(u), chart.jacobian(u))
+
+
+def fs_mass(charts: Sequence[Chart], n_samples: int, seed) -> MCResult:
+    """Total FS mass of the cycle (equals its degree for curves)."""
+
+    def mean(chart, u, pdf):
+        w, _ = _base_weight(chart, u, pdf)
+        return np.mean(w)
+
+    return mc_charts(charts, mean, n_samples, seed)
+
+
+def mc_integrate(
+    charts: Sequence[Chart],
+    integrand: Callable[[np.ndarray], np.ndarray],
+    n_samples: int,
+    seed,
+) -> MCResult:
+    """FS integral of a function of the normalized ambient coordinates."""
+
+    def mean(chart, u, pdf):
+        w, z = _base_weight(chart, u, pdf)
+        zhat = z / np.linalg.norm(z, axis=1, keepdims=True)
+        return np.mean(w * np.asarray(integrand(zhat)))
+
+    return mc_charts(charts, mean, n_samples, seed)

@@ -5,30 +5,35 @@ and closed forms; Monte Carlo assertions use the estimator's own stderr with
 wide (5 sigma) gates so the suite stays deterministic and quiet.
 """
 
+import threading
+import time
 from fractions import Fraction
 from math import factorial, pi
 
 import numpy as np
 import pytest
 
-from kstab import parse_polynomial
+from kstab import cli, geometry, parse_polynomial
 from kstab.geometry import (
+    BATCH_SIZE,
     Chart,
     bergman_density,
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
-    fs_mass,
-    fs_volume_density,
     gram_matrix,
     hermitian_part,
     mc_charts,
-    mc_integrate,
     moment_matrix,
     monomial_jet,
     monomial_values,
     n2_integral,
 )
+from kstab.rays import chow_weight_numeric
+from kstab.spectra import graded_slice
+
+from conftest import config_path
+from oracles import fs_mass, fs_volume_density, mc_integrate
 
 U = ("u",)
 
@@ -131,6 +136,112 @@ def test_nonfinite_integrand_is_located():
 
     with pytest.raises(ValueError, match="chart"):
         mc_integrate([LINE], bad, 8192, 0)
+
+
+# -- worker threads ----------------------------------------------------------------
+
+
+def _bits(mc):
+    return [np.asarray(x).tobytes() for x in (mc.value, mc.stderr, mc.consistency_ratio)]
+
+
+@pytest.mark.parametrize("estimate", ["gram", "moment", "n2", "chow"])
+def test_worker_count_does_not_change_a_bit(estimate, two_lines, monkeypatch):
+    # the two-chart cycle of conic_two_lines: jobs of both charts share the pool
+    config, _, cycle = two_lines
+    exps = np.array(graded_slice(config, 2).monomials, dtype=int)
+    runs = {
+        "gram": lambda: gram_matrix(cycle, exps, 2, 20_000, 3)[1],
+        "moment": lambda: moment_matrix(cycle, np.eye(len(exps)), exps, 20_000, 3)[1],
+        "n2": lambda: n2_integral(cycle, [1 / 3, 1 / 3, -2 / 3], 20_000, 3),
+        "chow": lambda: chow_weight_numeric(config, cycle, 2, 1, 20_000, 3),
+    }
+    results = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+        results[workers] = _bits(runs[estimate]())
+    assert results[1] == results[2]
+
+
+def test_report_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    files = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        code = cli.main(
+            ["report", str(config_path("conic_two_lines")), "--samples", "8192", "--out", str(out)]
+        )
+        files[workers] = (code, {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert files[1][1]
+    assert files[1] == files[2]
+
+
+def _failing_at(charts, chart_index, batches, seed, fail):
+    """batch_mean that calls fail(b) on the given batches of one chart.
+
+    Batches are recognized by their first draw.  The first of them is slowed
+    down, so a later failing batch finishes first on the other worker.
+    """
+    first = {}
+    for b in batches:
+        u, _ = geometry._draw_batch(geometry._batch_rng((seed,), chart_index, b), BATCH_SIZE, 1)
+        first[complex(u[0, 0])] = b
+    threads = set()
+
+    def mean(chart, u, pdf):
+        threads.add(threading.current_thread().name)
+        b = first.get(complex(u[0, 0])) if chart is charts[chart_index] else None
+        if b is None:
+            return np.mean(pdf)
+        if b == min(batches):
+            time.sleep(0.2)
+        return fail(b)
+
+    return mean, threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_nonfinite_batch_is_named_whatever_finishes_first(workers, monkeypatch):
+    monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+    charts = [LINE, CONIC]
+    mean, threads = _failing_at(charts, 1, (3, 5), 0, lambda b: np.nan)
+    with pytest.raises(ValueError, match=r"non-finite integrand in chart 1, batch 3 "):
+        mc_charts(charts, mean, 8 * BATCH_SIZE, 0)
+    assert (len(threads - {threading.current_thread().name}) > 0) == (workers == 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_raising_batch_is_the_one_raised(workers, monkeypatch):
+    monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+    charts = [LINE, CONIC]
+
+    def fail(b):
+        raise ValueError(f"bad batch {b}")
+
+    mean, _ = _failing_at(charts, 1, (3, 5), 0, fail)
+    with pytest.raises(ValueError, match=r"^bad batch 3$"):
+        mc_charts(charts, mean, 8 * BATCH_SIZE, 0)
+
+
+def test_failure_cancels_pending_jobs_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(geometry, "_worker_count", lambda: 2)
+    calls = []
+    lock = threading.Lock()
+
+    def mean(chart, u, pdf):
+        with lock:
+            calls.append(1)
+            first = len(calls) == 1
+        if first:
+            raise ValueError("first job fails")
+        time.sleep(0.02)
+        return np.mean(pdf)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="first job fails"):
+        mc_charts([LINE, CONIC], mean, 40 * BATCH_SIZE, 0)
+    assert len(calls) < 10  # of 80 jobs
+    assert threading.active_count() == before
 
 
 # -- monomial evaluation ---------------------------------------------------------------
