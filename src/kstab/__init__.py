@@ -15,24 +15,21 @@ from .asymptotics import (
     chow_sweep,
     chow_weight_algebraic,
     fit_asymptotics,
-    futaki_f,
     operator_norm_check,
 )
 from .geometry import (
     Chart,
     GSResult,
     MCResult,
-    bergman_density,
     energy_derivative,
     equivariant_gram_schmidt,
     gram_matrix,
     moment_matrix,
     n2_integral,
 )
-from .groebner import buchberger, initial_ideal, is_groebner_basis, normal_form
+from .groebner import buchberger, initial_ideal, normal_form
 from .polynomials import Polynomial, TermOrder, parse_polynomial
 from .rays import (
-    ComparisonReport,
     EnergyReport,
     PointGrid,
     RayGrid,
@@ -43,8 +40,6 @@ from .rays import (
     geometric_t_grid,
     grid_points,
     ma_mass,
-    ray_comparison,
-    ray_potential,
     section_frame,
     slope_report,
     sup_osc_report,
@@ -56,7 +51,6 @@ __all__ = [
     "Chart",
     "ChowReport",
     "ChowSweep",
-    "ComparisonReport",
     "EnergyReport",
     "GSResult",
     "GradedSlice",
@@ -67,7 +61,6 @@ __all__ = [
     "SectionFrame",
     "TermOrder",
     "TestConfiguration",
-    "bergman_density",
     "buchberger",
     "build_ray_grid",
     "chow_sweep",
@@ -77,21 +70,17 @@ __all__ = [
     "energy_derivative",
     "equivariant_gram_schmidt",
     "fit_asymptotics",
-    "futaki_f",
     "geometric_t_grid",
     "gram_matrix",
     "graded_slice",
     "grid_points",
     "initial_ideal",
-    "is_groebner_basis",
     "ma_mass",
     "moment_matrix",
     "n2_integral",
     "normal_form",
     "operator_norm_check",
     "parse_polynomial",
-    "ray_comparison",
-    "ray_potential",
     "section_frame",
     "slope_report",
     "spectrum_table",

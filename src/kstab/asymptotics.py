@@ -204,16 +204,6 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
     )
 
 
-def futaki_f(
-    config: TestConfiguration, k: int, report: AsymptoticReport | None = None
-) -> Fraction:
-    """Exact f(k) = w_k/(k d_k) - F_0; satisfies f(k) = F_1/k + O(1/k^2)."""
-    if report is None:
-        report = fit_asymptotics(config)
-    sl = graded_slice(config, k)
-    return Fraction(sl.total_weight, k * sl.dim) - report.F_0
-
-
 @dataclass(frozen=True)
 class ChowReport:
     """Chow weight of the level-r image cycle with its Futaki residual.

@@ -3,9 +3,9 @@
 Commands operate on a JSON test-configuration file and write versioned JSON
 reports (exact rationals as "p/q" strings, floats always next to their
 stderr) plus a grid CSV for the ray commands.  Exit codes: 0 success, 2
-validation error (bad file, bad flags, bad mathematics requested), 3
-numeric-diagnostic failure (an estimate failed its own acceptance gate;
-the report file is still written).
+validation error (bad file, bad flags, bad mathematics requested, reports
+that cannot be written), 3 numeric-diagnostic failure (an estimate failed
+its own acceptance gate; the report file is still written).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .asymptotics import (
     operator_norm_check,
 )
 from .geometry import Chart, n2_integral
+from .groebner import initial_ideal
 from .polynomials import Polynomial, parse_polynomial
 from .rays import (
     SectionFrame,
@@ -252,20 +253,17 @@ class Inputs:
         return self.frames[key]
 
 
-def _basis_strings(config: TestConfiguration) -> list[str]:
-    return [g.to_string(config.variables, config.order) for g in config.groebner_basis]
+def _poly_strings(config: TestConfiguration, polys) -> list[str]:
+    return [g.to_string(config.variables, config.order) for g in polys]
 
 
 def _cmd_flat_limit(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     config = inputs.config
-    initial = [
-        g.initial_form(config.order).to_string(config.variables, config.order)
-        for g in config.groebner_basis
-    ]
+    basis = config.groebner_basis
     return (
         {
-            "groebner_basis": _basis_strings(config),
-            "initial_ideal": initial,
+            "groebner_basis": _poly_strings(config, basis),
+            "initial_ideal": _poly_strings(config, initial_ideal(basis, config.order)),
             "initial_leads": [list(e) for e in config.initial_leads],
         },
         EXIT_OK,
@@ -537,13 +535,20 @@ COMMANDS = tuple(HANDLERS)
 # -- argument parsing and dispatch ----------------------------------------------
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values or any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
         raise argparse.ArgumentTypeError("levels must be positive integers")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(part) for part in text.split(",") if part)
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
     return values
 
 
@@ -566,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", type=Path, help="configuration JSON file")
     parser.add_argument("--k", type=_int_list, default=None, help="levels, comma separated")
-    parser.add_argument("--kmax", type=int, default=None, help="top level for spectrum")
+    parser.add_argument("--kmax", type=_positive_int, default=None, help="top level for spectrum")
     parser.add_argument("--r", type=_int_list, default=None, help="Chow twists")
     parser.add_argument(
         "--t-grid",
@@ -603,10 +608,14 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         tol={"n2": args.tol_n2, "chow": args.tol_chow, "boundary": args.tol_boundary},
     )
+    unwritable = f"cannot write reports to {run.out}"
     try:
         inputs = Inputs(*load_configuration(run.path))
         config = inputs.config
-        run.out.mkdir(parents=True, exist_ok=True)
+        try:
+            run.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{unwritable}: {exc}") from exc
         payload, code, *grid = HANDLERS[run.command](run, inputs)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
@@ -621,12 +630,16 @@ def main(argv: list[str] | None = None) -> int:
     }
     stem = f"{config.name}_{run.command.replace('-', '_')}"
     json_path = run.out / f"{stem}.json"
-    _write_json(json_path, payload)
     written = [str(json_path)]
-    if grid:
-        csv_path = run.out / f"{stem}.csv"
-        _write_csv(csv_path, grid[0])
-        written.append(str(csv_path))
+    try:
+        _write_json(json_path, payload)
+        if grid:
+            csv_path = run.out / f"{stem}.csv"
+            _write_csv(csv_path, grid[0])
+            written.append(str(csv_path))
+    except OSError as exc:
+        print(f"error: {unwritable}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     status = "ok" if code == EXIT_OK else "DIAGNOSTIC FAILURE"
     print(f"{config.name} {run.command}: {status}; wrote {', '.join(written)}")
     return code

@@ -515,16 +515,6 @@ def energy_derivative(moment: np.ndarray, generator: np.ndarray, n: int) -> floa
     return float((n + 1) * np.trace((B + B.conj().T) @ M).real)
 
 
-def bergman_density(
-    gs_matrix: np.ndarray, exponents: np.ndarray, zhat: np.ndarray
-) -> np.ndarray:
-    """Density of states sum |s_a(x)|^2 / |z|^(2k) at normalized points."""
-    exponents = np.asarray(exponents, dtype=int)
-    zhat = np.asarray(zhat, dtype=complex)
-    W = monomial_values(exponents, zhat) @ gs_matrix.T
-    return np.sum(np.abs(W) ** 2, axis=1)
-
-
 def n2_integral(
     charts: Sequence[Chart],
     lambdas: Sequence[float],

@@ -10,7 +10,6 @@ the monomials outside the initial ideal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import (
@@ -136,19 +135,3 @@ def standard_monomials(
         if not any(monomial_divides(lead, expo) for lead in leads):
             out.append(expo)
     return out
-
-
-def reduce_to_standard_basis(
-    poly: Polynomial, basis: Sequence[Polynomial], order: TermOrder
-) -> dict[Exponents, Fraction]:
-    """Coordinates of poly modulo the ideal in the standard-monomial basis."""
-    return dict(normal_form(poly, basis, order).terms)
-
-
-def is_groebner_basis(basis: Sequence[Polynomial], order: TermOrder) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
-                return False
-    return True

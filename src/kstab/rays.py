@@ -8,9 +8,9 @@ the frame by exp(t A_k) produces the ray of potentials
 
 evaluated here on finite point grids.  The module builds those grids,
 assembles the shift-and-sup envelope over a ladder of levels, and computes
-the energy diagnostics (Monge-Ampere mass budget, two-level comparison
-bounds, sup/osc growth) and the sampled Chow weight, an unflowed integral
-over the flat-limit cycle.
+the energy diagnostics (Monge-Ampere mass budget, slope, convexity and
+sup/osc growth) and the sampled Chow weight, an unflowed integral over the
+flat-limit cycle.  build_ray_grid is the one evaluator of phi(t;k).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import AsymptoticReport, chow_weight_algebraic, futaki_f
+from .asymptotics import AsymptoticReport, chow_weight_algebraic
 from .geometry import (
     Chart,
     MCResult,
@@ -223,13 +223,6 @@ def _phi_from_terms(
     return (lse - n * math.log(k)) / k
 
 
-def ray_potential(frame: SectionFrame, t: float, zhat: np.ndarray, n: int) -> np.ndarray:
-    """phi(t;k) at normalized ambient points (log-sum-exp, stable in t)."""
-    if t > 0:
-        raise ValueError("ray potentials are defined for t <= 0")
-    return _phi_from_terms(ray_log_terms(frame, zhat), frame.lambdas, frame.k, n, t)
-
-
 # -- the ray grid and envelope -------------------------------------------------
 
 
@@ -248,7 +241,6 @@ class RayGrid:
     k_set: tuple[int, ...]
     t_grid: tuple[float, ...]
     labels: tuple[str, ...]
-    points: PointGrid
     phi: np.ndarray
     phi_zero: np.ndarray
     c_k: tuple[float, ...]
@@ -331,7 +323,6 @@ def build_ray_grid(
         k_set=k_set,
         t_grid=t_values,
         labels=points.labels,
-        points=points,
         phi=phi,
         phi_zero=phi_zero,
         c_k=c_k,
@@ -515,70 +506,4 @@ def chow_weight_numeric(
 
     return embedded_mc(
         cycle, np.eye(len(lambdas)), exponents, reduce, n_samples, (seed, k, 2)
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Two-level ray comparison g(t,x) = [phi_l + 2t f(l)] - [phi_k + 2t f(k)].
-
-    Boundedness of g is the content of the level-comparison lemma; ratio
-    compares max|g| over deep times [-40,-20] against [-20,0) as a linear
-    growth detector (bounded rays keep it near 1).
-    """
-
-    k: int
-    l: int
-    f_k: Fraction
-    f_l: Fraction
-    max_abs: float
-    ratio: float
-    bounded_ok: bool
-
-
-def ray_comparison(
-    config: TestConfiguration,
-    frame_k: SectionFrame,
-    frame_l: SectionFrame,
-    t_grid: Sequence[float],
-    points: PointGrid,
-    report: AsymptoticReport,
-) -> ComparisonReport:
-    if frame_k.k >= frame_l.k:
-        raise ValueError("pass the lower level first")
-    n = report.n
-    f_k = futaki_f(config, frame_k.k, report)
-    f_l = futaki_f(config, frame_l.k, report)
-    terms_k = ray_log_terms(frame_k, points.zhat)
-    terms_l = ray_log_terms(frame_l, points.zhat)
-    far = 0.0
-    near = 0.0
-    overall = 0.0
-    for t in t_grid:
-        t = float(t)
-        g = (
-            _phi_from_terms(terms_l, frame_l.lambdas, frame_l.k, n, t)
-            + 2 * t * float(f_l)
-        ) - (
-            _phi_from_terms(terms_k, frame_k.lambdas, frame_k.k, n, t)
-            + 2 * t * float(f_k)
-        )
-        peak = float(np.max(np.abs(g)))
-        overall = max(overall, peak)
-        if -40.0 <= t <= -20.0:
-            far = max(far, peak)
-        elif -20.0 < t <= 0.0:
-            near = max(near, peak)
-    if near == 0.0:
-        ratio = 1.0 if far == 0.0 else math.inf
-    else:
-        ratio = far / near
-    return ComparisonReport(
-        k=frame_k.k,
-        l=frame_l.k,
-        f_k=f_k,
-        f_l=f_l,
-        max_abs=overall,
-        ratio=ratio,
-        bounded_ok=ratio <= 1.2,
     )

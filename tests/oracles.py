@@ -1,17 +1,23 @@
 """Independent cross-checks backing the test suite.
 
-Every routine here reaches its answer by a different route than the package:
-quotient dimensions come from exact row reduction over the rationals applied
-to the generators themselves (no Groebner step), standard-monomial spectra
-come from divisibility filtering against hand-derived initial ideals, whole
-slices and the spectral-gap slope come from scanning every ambient monomial
-of the degree, series coefficients come from exact rational-function
-division, interpolation uses Lagrange instead of Newton differences, chart
-integrals use radial quadrature instead of Monte Carlo, and Chow weights come
-from fitting the enumerated two-level weight ladder instead of the closed
-form.  The Fubini-Study mass and integral helpers at the end are the one
-exception: they run on the package's own Monte Carlo engine, and live here
-because only the tests use them.
+Most routines here reach their answer by a different route than the
+package: quotient dimensions come from exact row reduction over the
+rationals applied to the generators themselves (no Groebner step),
+standard-monomial spectra come from divisibility filtering against
+hand-derived initial ideals, whole slices and the spectral-gap slope come
+from scanning every ambient monomial of the degree, series coefficients come
+from exact rational-function division, interpolation uses Lagrange instead
+of Newton differences, chart integrals use radial quadrature instead of
+Monte Carlo, and Chow weights come from fitting the enumerated two-level
+weight ladder instead of the closed form.
+
+The helpers in the last two sections are the exception: they run on the
+package's own code, and live here because only the tests use them.  They
+are the Fubini-Study mass and integral helpers (fs_volume_density, fs_mass,
+mc_integrate) on the Monte Carlo engine, the Buchberger criterion
+is_groebner_basis on normal_form and s_polynomial, bergman_density on
+monomial_values, and futaki_f with level_comparison, which read the exact
+slices and an existing ray grid.
 """
 
 from __future__ import annotations
@@ -25,7 +31,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from kstab.asymptotics import DEGREE_CAP, newton_power_coefficients
-from kstab.geometry import Chart, MCResult, _base_weight, fs_density_values, mc_charts
+from kstab.geometry import (
+    Chart,
+    MCResult,
+    _base_weight,
+    fs_density_values,
+    mc_charts,
+    monomial_values,
+)
+from kstab.groebner import normal_form, s_polynomial
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
@@ -359,3 +373,57 @@ def mc_integrate(
         return np.mean(w * np.asarray(integrand(zhat)))
 
     return mc_charts(charts, mean, n_samples, seed)
+
+
+# -- Groebner, Bergman and ray-grid helpers on the package's own code ----------
+
+
+def bergman_density(
+    gs_matrix: np.ndarray, exponents: np.ndarray, zhat: np.ndarray
+) -> np.ndarray:
+    """Density of states sum |s_a(x)|^2 / |z|^(2k) at normalized points."""
+    exponents = np.asarray(exponents, dtype=int)
+    zhat = np.asarray(zhat, dtype=complex)
+    W = monomial_values(exponents, zhat) @ gs_matrix.T
+    return np.sum(np.abs(W) ** 2, axis=1)
+
+
+def is_groebner_basis(basis, order) -> bool:
+    """Buchberger criterion: every S-polynomial reduces to zero."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
+                return False
+    return True
+
+
+def futaki_f(config, k: int, report) -> Fraction:
+    """Exact f(k) = w_k/(k d_k) - F_0; satisfies f(k) = F_1/k + O(1/k^2)."""
+    sl = graded_slice(config, k)
+    return Fraction(sl.total_weight, k * sl.dim) - report.F_0
+
+
+def level_comparison(grid, config, report, k: int, l: int) -> dict:
+    """Two-level ray comparison g(t,x) = [phi_l + 2t f(l)] - [phi_k + 2t f(k)].
+
+    Reads phi from a ray grid holding both levels.  Boundedness of g is the
+    content of the level-comparison lemma; ratio compares max|g| over deep
+    times [-40,-20] against [-20,0) as a linear growth detector (bounded
+    rays keep it near 1).
+    """
+    f_k, f_l = futaki_f(config, k, report), futaki_f(config, l, report)
+    phi_k, phi_l = grid.phi[grid.k_set.index(k)], grid.phi[grid.k_set.index(l)]
+    far = near = overall = 0.0
+    for j, t in enumerate(grid.t_grid):
+        g = (phi_l[j] + 2 * t * float(f_l)) - (phi_k[j] + 2 * t * float(f_k))
+        peak = float(np.max(np.abs(g)))
+        overall = max(overall, peak)
+        if -40.0 <= t <= -20.0:
+            far = max(far, peak)
+        elif -20.0 < t <= 0.0:
+            near = max(near, peak)
+    if near == 0.0:
+        ratio = 1.0 if far == 0.0 else float("inf")
+    else:
+        ratio = far / near
+    return {"f_k": f_k, "f_l": f_l, "max_abs": overall, "ratio": ratio}

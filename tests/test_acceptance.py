@@ -16,6 +16,7 @@ import pytest
 
 from kstab import (
     TestConfiguration,
+    build_ray_grid,
     chow_sweep,
     chow_weight_algebraic,
     chow_weight_numeric,
@@ -23,19 +24,18 @@ from kstab import (
     graded_slice,
     gram_matrix,
     equivariant_gram_schmidt,
-    bergman_density,
+    grid_points,
     ma_mass,
     moment_matrix,
     operator_norm_check,
     parse_polynomial,
-    ray_comparison,
-    ray_potential,
     section_frame,
     sup_osc_report,
 )
 from kstab.cli import main
 from kstab.geometry import Chart, hermitian_part
 
+import oracles
 from conftest import SAMPLES, SEED, config_path, t_grid_with
 
 V3 = ("x", "y", "z")
@@ -92,14 +92,13 @@ def test_c05_trivial_configuration(trivial_p1):
     assert report.trivial_action
     for k in range(1, 21):
         assert set(graded_slice(config, k).a_spectrum) == {Fraction(0)}
-    from kstab import grid_points
 
     points = grid_points(config, fiber)
     frame = section_frame(config, fiber, 3, 20_000, SEED)
-    phi0 = ray_potential(frame, 0.0, points.zhat, report.n)
-    for t in (-1.0, -20.0, -40.0):
-        drift = np.max(np.abs(ray_potential(frame, t, points.zhat, report.n) - phi0))
-        assert drift <= 1e-12
+    grid = build_ray_grid(
+        [frame], (-1.0, -20.0, -40.0), points, report.n, float(report.degree_volume)
+    )
+    assert np.max(np.abs(grid.phi[0] - grid.phi_zero[0])) <= 1e-12
 
 
 def test_c06_eigenvalue_slope_budget(double_line, two_lines, product_p1, trivial_p1):
@@ -179,17 +178,20 @@ def test_c11_sup_slope_and_oscillation(dl_grid):
 
 
 def test_c12_ray_comparison_bounded(
-    double_line, two_lines, dl_frames, tl_frames, dl_points, tl_points, dl_report, tl_report
+    double_line, two_lines, dl_grid, tl_frames, tl_points, dl_report, tl_report
 ):
-    t_grid = t_grid_with(-20.0)
-    dl_comp = ray_comparison(
-        double_line[0], dl_frames[4], dl_frames[8], t_grid, dl_points, dl_report
+    tl_grid = build_ray_grid(
+        [tl_frames[4], tl_frames[8]],
+        t_grid_with(-20.0),
+        tl_points,
+        tl_report.n,
+        float(tl_report.degree_volume),
     )
-    tl_comp = ray_comparison(
-        two_lines[0], tl_frames[4], tl_frames[8], t_grid, tl_points, tl_report
-    )
-    assert dl_comp.bounded_ok and dl_comp.ratio <= 1.2
-    assert tl_comp.bounded_ok and tl_comp.ratio <= 1.2
+    for config, grid, report in (
+        (double_line[0], dl_grid, dl_report),
+        (two_lines[0], tl_grid, tl_report),
+    ):
+        assert oracles.level_comparison(grid, config, report, 4, 8)["ratio"] <= 1.2
 
 
 def test_c13_envelope_strict_decrease_and_boundary(dl_grid):
@@ -212,7 +214,7 @@ def test_c14_round_p1_quadrature_sanity():
         exps = np.array([[k - a, a] for a in range(k + 1)])
         gram, gram_mc = gram_matrix([line], exps, k, SAMPLES, SEED)
         gs = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(gram, tol=1.0))
-        rho = bergman_density(gs.matrix, exps, pts)
+        rho = oracles.bergman_density(gs.matrix, exps, pts)
         assert np.max(np.abs(rho - (k + 1))) / (k + 1) <= 0.01
 
         moment, moment_mc = moment_matrix([line], gs.matrix, exps, SAMPLES, SEED)
@@ -275,13 +277,12 @@ def test_c16_uniform_weight_shift_invariance(double_line):
     for k in range(1, 13):
         assert graded_slice(config, k).a_spectrum == graded_slice(shifted, k).a_spectrum
 
-    from kstab import grid_points
-
     points = grid_points(config, fiber)
     for k in (2, 4):
-        frame_a = section_frame(config, fiber, k, 20_000, SEED)
-        frame_b = section_frame(shifted, fiber, k, 20_000, SEED)
-        for t in (-0.7, -15.0):
-            phi_a = ray_potential(frame_a, t, points.zhat, 1)
-            phi_b = ray_potential(frame_b, t, points.zhat, 1)
-            assert np.max(np.abs(phi_a - phi_b)) <= 1e-12
+        phi_a, phi_b = (
+            build_ray_grid(
+                [section_frame(cfg, fiber, k, 20_000, SEED)], (-0.7, -15.0), points, 1, 2.0
+            ).phi
+            for cfg in (config, shifted)
+        )
+        assert np.max(np.abs(phi_a - phi_b)) <= 1e-12

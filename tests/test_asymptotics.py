@@ -15,7 +15,6 @@ from kstab import (
     chow_sweep,
     chow_weight_algebraic,
     fit_asymptotics,
-    futaki_f,
     graded_slice,
     operator_norm_check,
     parse_polynomial,
@@ -24,7 +23,7 @@ from kstab import spectra
 from kstab.asymptotics import regularity_start
 
 import oracles
-from oracles import eval_power, fit_eventually_polynomial
+from oracles import eval_power, fit_eventually_polynomial, futaki_f
 
 V5 = ("a", "b", "c", "d", "e")
 V4 = ("x", "y", "z", "w")

@@ -38,6 +38,32 @@ def test_flat_limit_payload(tmp_path):
     assert payload["initial_leads"] == [[0, 2, 0]]
 
 
+def test_twisted_cubic_reduces_its_s_pairs(tmp_path):
+    # three generators, so Buchberger reduces S-pairs; the parts printed here
+    # pin the flat limit and the exact invariants
+    path = tmp_path / "cubic.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "twisted_cubic",
+                "variables": ["x", "y", "z", "w"],
+                "weights": [0, 0, 1, 3],
+                "generators": ["x*z - y^2", "y*w - z^2", "x*w - y*z"],
+            }
+        )
+    )
+    assert run(["flat-limit", str(path)], tmp_path) == 0
+    assert load(tmp_path, "twisted_cubic_flat_limit")["initial_ideal"] == [
+        "y^2",
+        "y*z",
+        "z^2",
+    ]
+    assert run(["futaki", str(path)], tmp_path) == 0
+    payload = load(tmp_path, "twisted_cubic_futaki")
+    assert payload["F_1"] == "-2/3"
+    assert payload["n2_sq"] == "9/4"
+
+
 def test_spectrum_payload(tmp_path):
     assert run(["spectrum", DL, "--kmax", "4"], tmp_path) == 0
     payload = load(tmp_path, "conic_double_line_spectrum")
@@ -371,6 +397,33 @@ def test_lead_degree_past_the_level_cap(tmp_path, capsys):
 def test_envelope_needs_three_levels(tmp_path, capsys):
     assert run(["envelope", DL, "--k", "4,8", "--samples", "4096"], tmp_path) == 2
     assert "three" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_kmax_must_be_positive(tmp_path, capsys, kmax):
+    assert run(["spectrum", DL, f"--kmax={kmax}"], tmp_path) == 2
+    assert "--kmax" in capsys.readouterr().err
+    assert not (tmp_path / "conic_double_line_spectrum.json").exists()
+
+
+def test_out_naming_a_file_is_a_validation_error(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kstab.cli", "futaki", DL, "--out", str(blocker)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"cannot write reports to {blocker}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_report_is_a_validation_error(tmp_path, capsys):
+    (tmp_path / "conic_double_line_futaki.json").mkdir()
+    assert run(["futaki", DL], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "cannot write reports to" in err and "Traceback" not in err
 
 
 def test_bad_t_grid_spec(tmp_path, capsys):

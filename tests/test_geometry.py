@@ -17,7 +17,6 @@ from kstab import cli, geometry, parse_polynomial
 from kstab.geometry import (
     BATCH_SIZE,
     Chart,
-    bergman_density,
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
@@ -33,7 +32,7 @@ from kstab.rays import chow_weight_numeric
 from kstab.spectra import graded_slice
 
 from conftest import config_path
-from oracles import fs_mass, fs_volume_density, mc_integrate
+from oracles import bergman_density, fs_mass, fs_volume_density, mc_integrate
 
 U = ("u",)
 

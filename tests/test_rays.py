@@ -20,15 +20,14 @@ from kstab import (
     grid_points,
     ma_mass,
     parse_polynomial,
-    ray_comparison,
-    ray_potential,
     moment_matrix,
     section_frame,
     slope_report,
     sup_osc_report,
 )
-from kstab.geometry import Chart, bergman_density
+from kstab.geometry import Chart
 
+import oracles
 from conftest import RAY_LEVELS, SAMPLES, SEED
 
 
@@ -88,17 +87,12 @@ def test_section_frame_structure(dl_frames, double_line):
     assert frame.lambda_min == pytest.approx(-(k * k) / (2 * k + 1))
 
 
-def test_phi_zero_matches_bergman_density(double_line, dl_frames, dl_points, dl_report):
+def test_phi_zero_matches_bergman_density(dl_frames, dl_points, dl_grid):
     frame = dl_frames[4]
-    rho = bergman_density(frame.matrix, frame.exponents, dl_points.zhat)
-    expected = (np.log(rho) - dl_report.n * math.log(frame.k)) / frame.k
-    got = ray_potential(frame, 0.0, dl_points.zhat, dl_report.n)
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_ray_potential_rejects_positive_time(dl_frames, dl_points):
-    with pytest.raises(ValueError, match="t"):
-        ray_potential(dl_frames[4], 0.5, dl_points.zhat, 1)
+    rho = oracles.bergman_density(frame.matrix, frame.exponents, dl_points.zhat)
+    expected = (np.log(rho) - dl_grid.n * math.log(frame.k)) / frame.k
+    assert dl_grid.k_set[0] == frame.k
+    assert np.allclose(dl_grid.phi_zero[0], expected, atol=1e-12)
 
 
 # -- grids and envelopes ----------------------------------------------------------------
@@ -119,8 +113,9 @@ def test_geometric_t_grid_shape():
 def test_build_ray_grid_rejects_duplicate_levels(dl_frames, dl_points):
     with pytest.raises(ValueError, match="distinct"):
         build_ray_grid([dl_frames[4], dl_frames[4]], (-1.0,), dl_points, 1, 2.0)
-    with pytest.raises(ValueError, match="negative"):
-        build_ray_grid([dl_frames[4]], (0.0,), dl_points, 1, 2.0)
+    for t in (0.0, 0.5):
+        with pytest.raises(ValueError, match="negative"):
+            build_ray_grid([dl_frames[4]], (t,), dl_points, 1, 2.0)
 
 
 def test_grid_shapes_and_envelope_dominates(dl_grid):
@@ -176,10 +171,8 @@ def test_trivial_rays_are_time_independent(trivial_p1):
     for k in (1, 3, 5):
         frame = section_frame(config, fiber, k, 20_000, 0)
         assert np.allclose(frame.lambdas, 0.0, atol=1e-15)
-        phi0 = ray_potential(frame, 0.0, points.zhat, 1)
-        for t in (-0.5, -7.0, -40.0):
-            drift = np.max(np.abs(ray_potential(frame, t, points.zhat, 1) - phi0))
-            assert drift <= 1e-12
+        grid = build_ray_grid([frame], (-0.5, -7.0, -40.0), points, 1, 1.0)
+        assert np.max(np.abs(grid.phi[0] - grid.phi_zero[0])) <= 1e-12
 
 
 # -- invariance under uniform weight shifts ------------------------------------------------
@@ -198,24 +191,18 @@ def test_phi_invariant_under_uniform_weight_shift(double_line):
         a = section_frame(config, fiber, k, 20_000, 0)
         b = section_frame(shifted_config, fiber, k, 20_000, 0)
         assert np.allclose(a.lambdas, b.lambdas, atol=1e-12)
-        for t in (-1.0, -15.0):
-            pa = ray_potential(a, t, points.zhat, 1)
-            pb = ray_potential(b, t, points.zhat, 1)
-            assert np.max(np.abs(pa - pb)) <= 1e-12
+        pa, pb = (build_ray_grid([f], (-1.0, -15.0), points, 1, 2.0).phi for f in (a, b))
+        assert np.max(np.abs(pa - pb)) <= 1e-12
 
 
 # -- comparison, mass, numeric Chow --------------------------------------------------------
 
 
-def test_ray_comparison_double_line(dl_frames, dl_points, dl_report, double_line, dl_grid):
-    config, _, _ = double_line
-    comp = ray_comparison(
-        config, dl_frames[4], dl_frames[8], dl_grid.t_grid, dl_points, dl_report
-    )
-    assert comp.bounded_ok
-    assert comp.ratio <= 1.2
-    assert comp.f_k == Fraction(-1, 18)
-    assert comp.f_l == Fraction(-1, 34)
+def test_ray_comparison_double_line(dl_report, double_line, dl_grid):
+    comp = oracles.level_comparison(dl_grid, double_line[0], dl_report, 4, 8)
+    assert comp["ratio"] <= 1.2
+    assert comp["f_k"] == Fraction(-1, 18)
+    assert comp["f_l"] == Fraction(-1, 34)
 
 
 def test_ma_mass_report(double_line, dl_frames, dl_report):
