@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -28,9 +28,9 @@ from .asymptotics import (
     fit_asymptotics,
     operator_norm_check,
 )
-from .geometry import Chart, n2_integral
+from .geometry import BATCH_SIZE, Chart, n2_integral
 from .groebner import initial_ideal
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import parse_polynomial
 from .rays import (
     SectionFrame,
     build_ray_grid,
@@ -49,6 +49,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+# the engine draws whole batches, and at least two for a stderr
+MIN_SAMPLES = 2 * BATCH_SIZE
 _AUTO_PARAMS = ("u", "v", "w")
 
 
@@ -59,15 +61,9 @@ class ConfigError(ValueError):
 # -- configuration loading -----------------------------------------------------
 
 
-def _parse_generator(text: str, variables: tuple[str, ...]) -> Polynomial:
-    poly = parse_polynomial(text, variables)
-    if poly and poly.homogeneous_degree() is None:
-        degrees = sorted({sum(e) for e in poly.terms})
-        raise ConfigError(
-            f"generator {text!r} is not homogeneous: it mixes degrees "
-            + " and ".join(str(d) for d in degrees)
-        )
-    return poly
+def _is_int(value) -> bool:
+    """A JSON integer: not a bool (an int subclass), a float or a string."""
+    return type(value) is int
 
 
 def _parse_chart(entry: dict, section: str, index: int) -> Chart:
@@ -79,7 +75,7 @@ def _parse_chart(entry: dict, section: str, index: int) -> Chart:
             "always sampled from the Fubini-Study law (remove the key)"
         )
     spec = entry.get("chart_vars", 1)
-    if isinstance(spec, int):
+    if _is_int(spec):
         if not 1 <= spec <= len(_AUTO_PARAMS):
             raise ConfigError(
                 f"{section}[{index}]: chart_vars must be between 1 and "
@@ -95,13 +91,12 @@ def _parse_chart(entry: dict, section: str, index: int) -> Chart:
     components = entry.get("components")
     if not isinstance(components, list) or not components:
         raise ConfigError(f"{section}[{index}]: components must be a non-empty list")
+    multiplicity = entry.get("multiplicity", 1)
+    if not _is_int(multiplicity):
+        raise ConfigError(f"{section}[{index}]: multiplicity must be an integer")
     try:
         polys = tuple(parse_polynomial(str(c), params) for c in components)
-        return Chart(
-            params=params,
-            components=polys,
-            multiplicity=int(entry.get("multiplicity", 1)),
-        )
+        return Chart(params=params, components=polys, multiplicity=multiplicity)
     except ValueError as exc:
         raise ConfigError(f"{section}[{index}]: {exc}") from exc
 
@@ -127,19 +122,19 @@ def load_configuration(
     for key in ("variables", "weights", "generators"):
         if key not in data:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    for key in ("variables", "weights", "generators", "fiber", "cycle"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"{path}: {key} must be a list")
     variables = tuple(str(v) for v in data["variables"])
     weights = data["weights"]
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not all(_is_int(w) for w in weights):
         raise ConfigError(f"{path}: weights must be a list of integers")
-    generators = tuple(
-        _parse_generator(str(g), variables) for g in data["generators"]
-    )
     try:
-        config = TestConfiguration(
-            name=str(data.get("name", Path(path).stem)),
-            variables=variables,
-            weights=tuple(weights),
-            generators=generators,
+        config = TestConfiguration.from_strings(
+            str(data.get("name", Path(path).stem)),
+            variables,
+            weights,
+            tuple(str(g) for g in data["generators"]),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -212,23 +207,6 @@ def _mc_fields(result) -> dict:
 
 
 @dataclass
-class RunConfig:
-    """Parsed command line: one command, one configuration file, knobs."""
-
-    command: str
-    path: Path
-    k_list: tuple[int, ...] | None
-    kmax: int | None
-    r_list: tuple[int, ...] | None
-    t_grid: tuple[float, ...]
-    samples: int
-    seed: int
-    numeric: bool
-    out: Path
-    tol: dict
-
-
-@dataclass
 class Inputs:
     """A loaded configuration plus what the commands derive from it, each once.
 
@@ -257,7 +235,7 @@ def _poly_strings(config: TestConfiguration, polys) -> list[str]:
     return [g.to_string(config.variables, config.order) for g in polys]
 
 
-def _cmd_flat_limit(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_flat_limit(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     config = inputs.config
     basis = config.groebner_basis
     return (
@@ -270,8 +248,8 @@ def _cmd_flat_limit(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     )
 
 
-def _cmd_spectrum(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
-    ks = run.k_list or tuple(range(1, (run.kmax or 8) + 1))
+def _cmd_spectrum(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+    ks = run.k or tuple(range(1, (run.kmax or 8) + 1))
     rows = []
     for k in ks:
         sl = graded_slice(inputs.config, k)
@@ -307,13 +285,13 @@ def _futaki_payload(report) -> dict:
     }
 
 
-def _cmd_futaki(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_futaki(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     return _futaki_payload(inputs.fit), EXIT_OK
 
 
-def _cmd_chow(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     config, report = inputs.config, inputs.fit
-    rs = run.r_list or tuple(range(1, 11))
+    rs = run.r or tuple(range(1, 11))
     sweep = chow_sweep(config, rs, report)
     payload = {
         "F_1": report.F_1,
@@ -337,14 +315,14 @@ def _cmd_chow(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
                 "chow --numeric needs a 'cycle' section describing the flat limit"
             )
         payload["numeric"] = []
-        for k in run.k_list or (1,):
+        for k in run.k or (1,):
             numeric = chow_weight_numeric(
                 config, inputs.cycle, k, report.n, run.samples, run.seed
             )
             exact = chow_weight_algebraic(config, k, report).mu
             scale = max(abs(float(exact)), 1.0)
             rel = abs(numeric.value - float(exact)) / scale
-            ok = rel <= run.tol["chow"] and numeric.consistency_ok
+            ok = rel <= run.tol_chow and numeric.consistency_ok
             payload["numeric"].append(
                 {
                     "k": k,
@@ -377,7 +355,7 @@ def _ambient_lambda(config: TestConfiguration) -> list[float]:
     return lam
 
 
-def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     if not inputs.cycle:
         raise ConfigError("n2 needs a 'cycle' section describing the flat limit")
     lam = _ambient_lambda(inputs.config)
@@ -385,7 +363,7 @@ def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     exact = inputs.fit.n2_sq
     scale = abs(float(exact)) or 1.0
     rel = abs(result.value - float(exact)) / scale
-    ok = rel <= run.tol["n2"] and result.consistency_ok
+    ok = rel <= run.tol_n2 and result.consistency_ok
     payload = {
         "a_1_diagonal": lam,
         "exact_n2_sq": exact,
@@ -399,14 +377,14 @@ def _cmd_n2(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     return payload, EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _ray_machinery(run: RunConfig, inputs: Inputs, k_default=(4, 8, 16)):
+def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)):
     """Frames, ray grid and the payload fields ray and envelope share."""
     if not inputs.fiber:
         raise ConfigError(
             f"{run.command} needs a 'fiber' section parametrizing the variety"
         )
     report = inputs.fit
-    ks = run.k_list or k_default
+    ks = run.k or k_default
     frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
     points = grid_points(inputs.config, inputs.fiber)
     grid = build_ray_grid(
@@ -424,7 +402,7 @@ def _ray_machinery(run: RunConfig, inputs: Inputs, k_default=(4, 8, 16)):
     return frames, grid, payload
 
 
-def _cmd_ray(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
+def _cmd_ray(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, object]:
     frames, grid, payload = _ray_machinery(run, inputs)
     slopes = slope_report(grid)
     convexity = convexity_report(grid)
@@ -438,27 +416,27 @@ def _cmd_ray(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
 
-def _cmd_envelope(run: RunConfig, inputs: Inputs) -> tuple[dict, int, object]:
-    ks = run.k_list or (4, 8, 16)
+def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, object]:
+    ks = run.k or (4, 8, 16)
     if len(ks) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
     _, grid, payload = _ray_machinery(run, inputs, ks)
     near = int(np.argmax(np.array(grid.t_grid)))
-    ok = grid.strict_decrease and grid.boundary_continuity <= run.tol["boundary"]
+    ok = grid.strict_decrease and grid.boundary_continuity <= run.tol_boundary
     payload.update(
         strict_decrease=grid.strict_decrease,
         boundary_continuity=grid.boundary_continuity,
-        boundary_tolerance=run.tol["boundary"],
+        boundary_tolerance=run.tol_boundary,
         attaining_near_boundary=sorted({int(k) for k in grid.attaining[near]}),
     )
     payload["pass"] = ok
     return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
 
 
-def _cmd_mass(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     if not inputs.fiber:
         raise ConfigError("mass needs a 'fiber' section parametrizing the variety")
-    ks = run.k_list or tuple(range(2, 13))
+    ks = run.k or tuple(range(2, 13))
     rows = []
     masses = []
     positive = consistent = True
@@ -496,22 +474,22 @@ def _cmd_mass(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
     return payload, EXIT_OK if good else EXIT_NUMERIC
 
 
-def _cmd_report(run: RunConfig, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     payload: dict = {}
     code = EXIT_OK
     payload["flat_limit"], _ = _cmd_flat_limit(run, inputs)
     payload["futaki"], _ = _cmd_futaki(run, inputs)
-    sub = replace(run, r_list=run.r_list or tuple(range(1, 6)))
+    sub = argparse.Namespace(**{**vars(run), "r": run.r or tuple(range(1, 6))})
     payload["chow"], c = _cmd_chow(sub, inputs)
     code = max(code, c)
     if inputs.cycle:
         payload["n2"], c = _cmd_n2(run, inputs)
         code = max(code, c)
     if inputs.fiber:
-        sub = replace(run, k_list=run.k_list or (2, 3, 4, 6))
+        sub = argparse.Namespace(**{**vars(run), "k": run.k or (2, 3, 4, 6)})
         payload["mass"], c = _cmd_mass(sub, inputs)
         code = max(code, c)
-        sub = replace(run, k_list=run.k_list or (4, 8, 16))
+        sub = argparse.Namespace(**{**vars(run), "k": run.k or (4, 8, 16)})
         payload["ray"], c, _ = _cmd_ray(sub, inputs)
         code = max(code, c)
     return payload, code
@@ -535,14 +513,22 @@ COMMANDS = tuple(HANDLERS)
 # -- argument parsing and dispatch ----------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("levels must be positive integers")
-    return value
+def _int_at_least(floor: int):
+    """argparse type: an integer of at least floor."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -576,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--t-grid",
         type=_t_grid_spec,
-        default=None,
+        default=geometric_t_grid(),
         help="near:far:steps geometric grid of negative times (default -0.1:-40:25)",
     )
-    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--samples", type=_int_at_least(MIN_SAMPLES), default=100_000)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
     parser.add_argument("--numeric", action="store_true", help="add the sampled Chow cross-check")
     parser.add_argument("--out", type=Path, default=Path("."))
@@ -590,27 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        run = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    run = RunConfig(
-        command=args.command,
-        path=args.config,
-        k_list=args.k,
-        kmax=args.kmax,
-        r_list=args.r,
-        t_grid=args.t_grid or geometric_t_grid(),
-        samples=args.samples,
-        seed=args.seed,
-        numeric=args.numeric,
-        out=args.out,
-        tol={"n2": args.tol_n2, "chow": args.tol_chow, "boundary": args.tol_boundary},
-    )
     unwritable = f"cannot write reports to {run.out}"
     try:
-        inputs = Inputs(*load_configuration(run.path))
+        inputs = Inputs(*load_configuration(run.config))
         config = inputs.config
         try:
             run.out.mkdir(parents=True, exist_ok=True)

@@ -91,12 +91,6 @@ class Polynomial:
         return Polynomial(nvars, {(0,) * nvars: Fraction(value)})
 
     @staticmethod
-    def variable(nvars: int, index: int) -> "Polynomial":
-        expo = [0] * nvars
-        expo[index] = 1
-        return Polynomial(nvars, {tuple(expo): Fraction(1)})
-
-    @staticmethod
     def monomial(nvars: int, expo: Exponents, coeff=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(expo): Fraction(coeff)})
 
@@ -267,129 +261,43 @@ class Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+/-]))")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
-                break
-            if m.lastgroup:
-                self.items.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.idx = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.idx] if self.idx < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int]:
-        item = self.peek()
-        if item is None:
-            raise ValueError(f"unexpected end of input in {self.text!r}")
-        self.idx += 1
-        return item
+# factor: name ("^" uint)?;  term: [+-]? (int ("/" int)? | factor) ("*" factor)*
+_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(
+    rf"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?|{_FACTOR.pattern})"
+    rf"(?:\s*\*\s*{_FACTOR.pattern})*\s*"
+)
 
 
 def parse_polynomial(text: str, variables: tuple[str, ...]) -> Polynomial:
-    """Parse `term (("+"|"-") term)*` with terms `coeff ("*" factor)*` or
-    `factor ("*" factor)*`, factors `var ("^" uint)?`, coeff `int ("/" uint)?`.
+    """Parse a sum of terms, each matched by the _TERM grammar above.
 
-    A single leading sign is accepted.  Unknown identifiers, stray operators
-    and empty input raise ValueError with the offending position.
+    Only the first term may omit its sign.  Unknown variables, a zero
+    denominator, empty input and unmatched text raise ValueError with the
+    offending position.
     """
-    var_index = {name: i for i, name in enumerate(variables)}
-    toks = _Tokens(text)
-    nvars = len(variables)
-
-    def parse_factor() -> Exponents:
-        kind, value, pos = toks.next()
-        if kind != "name":
-            raise ValueError(f"expected variable at position {pos} in {text!r}")
-        if value not in var_index:
-            raise ValueError(f"unknown variable {value!r} at position {pos}")
-        expo = [0] * nvars
-        power = 1
-        nxt = toks.peek()
-        if nxt and nxt[:2] == ("op", "^"):
-            toks.next()
-            kind2, value2, pos2 = toks.next()
-            if kind2 != "int":
-                raise ValueError(f"expected integer exponent at position {pos2}")
-            power = int(value2)
-        expo[var_index[value]] = power
-        return tuple(expo)
-
-    def parse_term(sign: int) -> Polynomial:
-        nxt = toks.peek()
-        if nxt is None:
-            raise ValueError(f"expected term at end of {text!r}")
-        coeff = Fraction(sign)
-        expo = (0,) * nvars
-        kind, value, pos = nxt
-        if kind == "int":
-            toks.next()
-            num = int(value)
-            den = 1
-            after = toks.peek()
-            if after and after[:2] == ("op", "/"):
-                toks.next()
-                kind2, value2, pos2 = toks.next()
-                if kind2 != "int":
-                    raise ValueError(f"expected integer denominator at position {pos2}")
-                den = int(value2)
-                if den == 0:
-                    raise ValueError(f"zero denominator at position {pos2}")
-            coeff *= Fraction(num, den)
-            while True:
-                after = toks.peek()
-                if after and after[:2] == ("op", "*"):
-                    toks.next()
-                    expo = monomial_mul(expo, parse_factor())
-                else:
-                    break
-        elif kind == "name":
-            expo = parse_factor()
-            while True:
-                after = toks.peek()
-                if after and after[:2] == ("op", "*"):
-                    toks.next()
-                    expo = monomial_mul(expo, parse_factor())
-                else:
-                    break
-        else:
-            raise ValueError(f"expected coefficient or variable at position {pos} in {text!r}")
-        return Polynomial(nvars, {expo: coeff})
-
-    result = Polynomial.zero(nvars)
-    sign = 1
-    first = toks.peek()
-    if first is None:
-        raise ValueError("empty polynomial string")
-    if first[:2] == ("op", "-"):
-        toks.next()
-        sign = -1
-    elif first[:2] == ("op", "+"):
-        toks.next()
-    result = result + parse_term(sign)
+    index = {name: i for i, name in enumerate(variables)}
+    result = Polynomial.zero(len(variables))
+    pos = 0
     while True:
-        nxt = toks.peek()
-        if nxt is None:
-            break
-        kind, value, pos = nxt
-        if kind == "op" and value in "+-":
-            toks.next()
-            result = result + parse_term(-1 if value == "-" else 1)
-        else:
-            raise ValueError(f"expected '+' or '-' at position {pos} in {text!r}")
-    return result
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m["sign"]):
+            expected = "'+' or '-'" if m else "a term"
+            raise ValueError(f"expected {expected} at position {pos} in {text!r}")
+        if m["den"] and not int(m["den"]):
+            raise ValueError(f"zero denominator at position {m.start('den')} in {text!r}")
+        expo = [0] * len(variables)
+        for factor in _FACTOR.finditer(text, m.start(), m.end()):
+            name, power = factor.groups()
+            if name not in index:
+                raise ValueError(f"unknown variable {name!r} at position {factor.start()}")
+            expo[index[name]] += int(power or 1)
+        sign = -1 if m["sign"] == "-" else 1
+        coeff = Fraction(sign * int(m["num"] or 1), int(m["den"] or 1))
+        result = result + Polynomial(len(variables), {tuple(expo): coeff})
+        pos = m.end()
+        if pos == len(text):
+            return result
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:

@@ -60,9 +60,10 @@ class TestConfiguration:
             if not g:
                 continue  # zero generators carry no condition
             if g.homogeneous_degree() is None:
+                degrees = sorted({sum(e) for e in g.terms})
                 raise ValueError(
-                    "generators must be homogeneous: "
-                    f"{g.to_string(self.variables)!r} mixes degrees"
+                    f"generator {g.to_string(self.variables)!r} is not homogeneous: "
+                    "it mixes degrees " + " and ".join(map(str, degrees))
                 )
             kept.append(g)
         object.__setattr__(self, "generators", tuple(kept))

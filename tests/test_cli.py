@@ -187,7 +187,7 @@ def test_ray_accepts_high_levels(tmp_path):
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    args = ["ray", DL, "--k", "2,3", "--samples", "8000", "--seed", "9"]
+    args = ["ray", DL, "--k", "2,3", "--samples", "8192", "--seed", "9"]
     assert run(list(args), a) == 0
     assert run(list(args), b) == 0
     for name in ("conic_double_line_ray.json", "conic_double_line_ray.csv"):
@@ -228,7 +228,7 @@ def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "section_frame", counted(cli.section_frame, levels))
     monkeypatch.setattr(cli, "fit_asymptotics", counted(cli.fit_asymptotics, fits))
-    run(["report", DL, "--samples", "4096"], tmp_path)
+    run(["report", DL, "--samples", "8192"], tmp_path)
     # mass uses levels 2, 3, 4, 6 and the ray 4, 8, 16: level 4 is shared
     assert sorted(args[2] for args in levels) == [2, 3, 4, 6, 8, 16]
     assert len(fits) == 1
@@ -248,7 +248,7 @@ def test_report_builds_each_slice_once(tmp_path, monkeypatch):
 
     spectra._levels.cache_clear()
     monkeypatch.setattr(spectra, "_next_level", counted)
-    run(["report", DL, "--samples", "4096"], tmp_path)
+    run(["report", DL, "--samples", "8192"], tmp_path)
     # the fit, the Chow sweep, the operator-norm check and the frames share
     # one cache: levels 1..30 of the one configuration, each built once
     assert len(set(built)) == len(built) == 30
@@ -334,7 +334,8 @@ def test_missing_weights_key(tmp_path, capsys):
 def test_inhomogeneous_generator(tmp_path, capsys):
     path = write_config(tmp_path, generators=["x + y^2"])
     assert run(["futaki", path], tmp_path) == 2
-    assert "homogeneous" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "homogeneous" in err and "mixes degrees 1 and 2" in err
 
 
 def test_non_integer_weights(tmp_path, capsys):
@@ -344,23 +345,70 @@ def test_non_integer_weights(tmp_path, capsys):
     assert "integer" in err or "weights" in err
 
 
+CHART = {"chart_vars": 1, "components": ["1", "0", "u"]}
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"weights": [True, False, True]}, "weights"),
+        ({"weights": [0, 0, "1"]}, "weights"),
+        ({"cycle": [{**CHART, "multiplicity": 2.7}]}, "multiplicity"),
+        ({"cycle": [{**CHART, "multiplicity": "2"}]}, "multiplicity"),
+        ({"cycle": [{**CHART, "multiplicity": True}]}, "multiplicity"),
+        ({"cycle": [{**CHART, "chart_vars": True}]}, "chart_vars"),
+        ({"cycle": [{**CHART, "chart_vars": 1.0}]}, "chart_vars"),
+    ],
+)
+def test_integer_fields_take_only_json_integers(tmp_path, capsys, overrides, key):
+    # bool is an int subclass and int() truncates: neither may pass as an integer
+    path = write_config(tmp_path, **overrides)
+    assert run(["n2", path], tmp_path) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "probe_n2.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"generators": 5}, "generators"),
+        ({"variables": "xyz"}, "variables"),
+        ({"weights": 1}, "weights"),
+        ({"fiber": {}}, "fiber"),
+        ({"cycle": 5}, "cycle"),
+    ],
+)
+def test_list_fields_must_be_lists(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **overrides)
+    assert run(["futaki", path], tmp_path) == 2
+    assert f"{key} must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-5", "8191"])
+def test_samples_below_two_batches(tmp_path, capsys, samples):
+    assert run(["n2", DL, f"--samples={samples}"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "8192" in err
+    assert not (tmp_path / "conic_double_line_n2.json").exists()
+
+
 def test_chart_component_arity(tmp_path, capsys):
     path = write_config(
         tmp_path, fiber=[{"chart_vars": 1, "components": ["1", "u"]}]
     )
-    assert run(["ray", path, "--k", "2,3", "--samples", "4096"], tmp_path) == 2
+    assert run(["ray", path, "--k", "2,3", "--samples", "8192"], tmp_path) == 2
     assert "chart" in capsys.readouterr().err.lower()
 
 
 def test_ray_without_fiber(tmp_path, capsys):
     path = write_config(tmp_path)
-    assert run(["ray", path, "--samples", "4096"], tmp_path) == 2
+    assert run(["ray", path, "--samples", "8192"], tmp_path) == 2
     assert "fiber" in capsys.readouterr().err
 
 
 def test_n2_without_cycle(tmp_path, capsys):
     path = write_config(tmp_path)
-    assert run(["n2", path, "--samples", "4096"], tmp_path) == 2
+    assert run(["n2", path, "--samples", "8192"], tmp_path) == 2
     assert "cycle" in capsys.readouterr().err
 
 
@@ -368,7 +416,7 @@ def test_chow_numeric_without_cycle(tmp_path, capsys):
     path = write_config(
         tmp_path, fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"]}]
     )
-    assert run(["chow", path, "--numeric", "--samples", "4096"], tmp_path) == 2
+    assert run(["chow", path, "--numeric", "--samples", "8192"], tmp_path) == 2
     assert "cycle" in capsys.readouterr().err
 
 
@@ -381,7 +429,7 @@ def test_sampling_law_key_is_rejected(tmp_path, capsys):
         tmp_path,
         fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"], "law": "gaussian"}],
     )
-    assert run(["ray", path, "--k", "2,3", "--samples", "4096"], tmp_path) == 2
+    assert run(["ray", path, "--k", "2,3", "--samples", "8192"], tmp_path) == 2
     err = capsys.readouterr().err
     assert "fiber[0]" in err and "'law'" in err
 
@@ -395,7 +443,7 @@ def test_lead_degree_past_the_level_cap(tmp_path, capsys):
 
 
 def test_envelope_needs_three_levels(tmp_path, capsys):
-    assert run(["envelope", DL, "--k", "4,8", "--samples", "4096"], tmp_path) == 2
+    assert run(["envelope", DL, "--k", "4,8", "--samples", "8192"], tmp_path) == 2
     assert "three" in capsys.readouterr().err
 
 

@@ -93,6 +93,32 @@ def test_parse_rejects_stray_characters():
         poly("x**2")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x*2", "2 x", "x^", "x^2^3", "2/0", "+", "x +", "- - x", "x**2", "(x)",
+     "x*-y", "3/x", "x^-1", "", "  "],
+)
+def test_parse_rejections_name_a_position(text):
+    with pytest.raises(ValueError, match="position"):
+        poly(text)
+
+
+# the parser's tokens plus some it rejects; "\u0663" is a non-ASCII digit that int() reads
+PARSE_ALPHABET = ["x", "y", "z", "w", "2", "0", "13", "/", "*", "^", "+", "-", "(", ".",
+                  "\u0663", "x1", " "]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=12))
+def test_parse_fails_only_with_value_error(tokens):
+    # any string over the alphabet parses, and then round-trips, or raises ValueError
+    try:
+        f = poly("".join(tokens))
+    except ValueError:
+        return
+    assert poly(f.to_string(XYZ)) == f
+
+
 def test_print_parse_round_trip():
     samples = ["0", "x*z - y^2", "-x + 2*y - 3*z", "1/2*x^3 - 7/5*y*z^2", "42"]
     for text in samples:
