@@ -30,7 +30,7 @@ from .asymptotics import (
 )
 from .geometry import BATCH_SIZE, Chart, n2_integral
 from .groebner import initial_ideal
-from .polynomials import parse_polynomial
+from .polynomials import NAME, parse_polynomial
 from .rays import (
     SectionFrame,
     build_ray_grid,
@@ -51,6 +51,8 @@ EXIT_NUMERIC = 3
 
 # the engine draws whole batches, and at least two for a stderr
 MIN_SAMPLES = 2 * BATCH_SIZE
+# --t-grid times per ray; each adds a row per (point, level) to the CSV
+MAX_T_STEPS = 1000
 _AUTO_PARAMS = ("u", "v", "w")
 
 
@@ -125,7 +127,9 @@ def load_configuration(
     for key in ("variables", "weights", "generators", "fiber", "cycle"):
         if not isinstance(data.get(key, []), list):
             raise ConfigError(f"{path}: {key} must be a list")
-    variables = tuple(str(v) for v in data["variables"])
+    variables = tuple(data["variables"])
+    if not all(isinstance(v, str) and NAME.fullmatch(v) for v in variables):
+        raise ConfigError(f"{path}: variables must be JSON strings matching {NAME.pattern}")
     weights = data["weights"]
     if not all(_is_int(w) for w in weights):
         raise ConfigError(f"{path}: weights must be a list of integers")
@@ -531,6 +535,17 @@ def _int_at_least(floor: int):
 _positive_int = _int_at_least(1)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     values = tuple(_positive_int(part) for part in text.split(",") if part)
     if not values:
@@ -544,6 +559,8 @@ def _t_grid_spec(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("t-grid must look like -0.1:-40:25")
     try:
         near, far, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        if steps > MAX_T_STEPS:
+            raise ValueError(f"steps must be at most {MAX_T_STEPS}, got {steps}")
         return geometric_t_grid(near, far, steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
@@ -569,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
     parser.add_argument("--numeric", action="store_true", help="add the sampled Chow cross-check")
     parser.add_argument("--out", type=Path, default=Path("."))
-    parser.add_argument("--tol-n2", type=float, default=0.02)
-    parser.add_argument("--tol-chow", type=float, default=0.05)
-    parser.add_argument("--tol-boundary", type=float, default=0.05)
+    parser.add_argument("--tol-n2", type=_tolerance, default=0.02)
+    parser.add_argument("--tol-chow", type=_tolerance, default=0.05)
+    parser.add_argument("--tol-boundary", type=_tolerance, default=0.05)
     return parser
 
 

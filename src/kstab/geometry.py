@@ -13,8 +13,12 @@ estimate runs through one batch loop, so it is a deterministic function of
 batch), pairwise-tree reduction, and a quarter-vs-full consistency check.
 The batches run on up to two worker threads and are combined in (chart,
 batch) order, so every result is bit-identical whatever the worker count.
-Monomial tables are filled ROW_BLOCK points at a time; that work is per
-point, so the blocking changes no bit and keeps two in-flight batches small.
+
+Sections are evaluated on a chart through their exact pullbacks: each
+degree-k monomial m_a(F(u)) and its u-derivatives are expanded once per
+estimate, in exact arithmetic, over one basis of u-monomials.  A batch then
+costs one scaled power table u^alpha / rho^top (rho = max(1, |u|_inf), so
+every entry is at most 1) and one matrix product with the coefficients.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 from .polynomials import Polynomial
 
 BATCH_SIZE = 4096
-ROW_BLOCK = 2048
 HERMITIAN_TOL = 1e-12
 PIVOT_FLOOR = 1e-10
 
@@ -93,20 +96,27 @@ def fs_density_values(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     (1/pi^d) det(g) with g_ij = <dz_i,dz_j>/S - <dz_i,z><z,dz_j>/S^2 and
     S = |z|^2.  Indeterminate points (S = 0) raise.
     """
-    S = np.einsum("ba,ba->b", z, z.conj()).real
+    z, dz = z.T, np.moveaxis(dz, 0, -1)
+    S = _squared_norms(z)
     if np.any(S <= 0):
         raise ValueError("indeterminate point: all components vanish")
-    inner = np.einsum("bia,bja->bij", dz, dz.conj())
-    mixed = np.einsum("bia,ba->bi", dz, z.conj())
-    g = inner / S[:, None, None] - np.einsum(
-        "bi,bj->bij", mixed, mixed.conj()
-    ) / (S**2)[:, None, None]
-    d = dz.shape[1]
-    if d == 1:
-        det = g[:, 0, 0].real
-    else:
-        det = np.linalg.det(g).real
-    return det / math.pi**d
+    return _fs_density(z, dz, S)
+
+
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """|z_b|^2 of the columns of an (N, B) array."""
+    return np.einsum("ab,ab->b", z.real, z.real) + np.einsum("ab,ab->b", z.imag, z.imag)
+
+
+def _fs_density(z: np.ndarray, dz: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """fs_density_values on point-last z (N, B), dz (d, N, B), with S = |z|^2 > 0.
+
+    Sums run over the short N axis, and S^2 is never formed.
+    """
+    mixed = np.einsum("iab,ab->ib", dz, z.conj()) / S
+    g = np.einsum("iab,jab->ijb", dz, dz.conj()) / S - mixed[:, None] * mixed[None].conj()
+    det = g[0, 0].real if len(dz) == 1 else np.linalg.det(np.moveaxis(g, -1, 0)).real
+    return det / math.pi ** len(dz)
 
 
 # -- the sampling law ---------------------------------------------------------
@@ -278,56 +288,84 @@ def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarr
 # -- monomial frames ----------------------------------------------------------
 
 
-def _powers(zhat_v: np.ndarray, top: int) -> np.ndarray:
-    """Columns 1, z, ..., z^top of one variable, by repeated multiplication."""
-    powers = np.ones((len(zhat_v), top + 1), dtype=complex)
-    for e in range(1, top + 1):
-        powers[:, e] = powers[:, e - 1] * zhat_v
-    return powers
-
-
 def monomial_values(exponents: np.ndarray, zhat: np.ndarray) -> np.ndarray:
-    """Values of the degree-k monomial list at normalized points: (B, D).
-
-    The gathers run ROW_BLOCK points at a time, through one small buffer.
-    """
+    """Values of the monomial list (rows of exponents) at the points zhat: (B, D)."""
     out = np.ones((len(zhat), len(exponents)), dtype=complex)
-    gathered = np.empty((min(len(zhat), ROW_BLOCK), len(exponents)), dtype=complex)
     for v, exp_v in enumerate(exponents.T):
-        powers = _powers(zhat[:, v], int(exp_v.max(initial=0)))
-        for lo in range(0, len(zhat), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            block = out[rows]
-            block *= np.take(powers[rows], exp_v, axis=1, out=gathered[: len(block)], mode="clip")
-        del powers  # before the next variable's table is built
+        powers = np.ones((len(zhat), int(exp_v.max(initial=0)) + 1), dtype=complex)
+        for e in range(1, powers.shape[1]):
+            powers[:, e] = powers[:, e - 1] * zhat[:, v]
+        out *= powers[:, exp_v]
     return out
 
 
-def monomial_jet(exponents: np.ndarray, zhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial values and per-variable derivatives at normalized points.
+class _PowerBasis:
+    """The u-monomials of a pullback, closed downward and sorted by degree.
 
-    Returns (values (B, D), derivs (B, nv, D)) with derivs[b, v, a] the
-    partial of monomial a by ambient variable v at zhat[b].  Both are
-    left-to-right products over the variables, so the values after
-    variable v-1 are the common prefix of derivs[:, v]; one power table
-    and one gather buffer are live at a time.
+    Every row after the first is an earlier row times one coordinate, so
+    monomial_jet fills its power table by one multiplication per row.
     """
-    values = np.ones((len(zhat), len(exponents)), dtype=complex)
-    derivs = np.empty((len(zhat), zhat.shape[1], len(exponents)), dtype=complex)
-    gathered = np.empty_like(values)
-    for v, exp_v in enumerate(exponents.T):
-        powers = _powers(zhat[:, v], int(exp_v.max(initial=0)))
-        np.take(powers, np.where(exp_v > 0, exp_v - 1, 0), axis=1, out=gathered, mode="clip")
-        np.multiply(values, gathered, out=derivs[:, v, :])
-        np.take(powers, exp_v, axis=1, out=gathered, mode="clip")
-        del powers  # before the next variable's table is built
-        for w in range(v):
-            derivs[:, w, :] *= gathered
-        values *= gathered
-    for v, exp_v in enumerate(exponents.T):
-        np.multiply(exp_v[None, :], derivs[:, v, :], out=derivs[:, v, :])
-        derivs[:, v, exp_v == 0] = 0.0
-    return values, derivs
+
+    def __init__(self, support, d: int):
+        rows = {(0,) * d}
+        for alpha in support:
+            rows.update(itertools.product(*(range(a + 1) for a in alpha)))
+        self.exponents = sorted(rows, key=lambda alpha: (sum(alpha), alpha))
+        index = {alpha: j for j, alpha in enumerate(self.exponents)}
+        self.steps = []  # (row, earlier row, coordinate) for rows 1..P-1
+        for j, alpha in enumerate(self.exponents[1:], start=1):
+            i = next(i for i, a in enumerate(alpha) if a)
+            self.steps.append((j, index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]], i))
+        self.top = max(map(sum, support), default=0)
+        # rows of degree m are starts[m]:starts[m + 1]
+        self.starts = np.searchsorted([sum(alpha) for alpha in self.exponents], range(self.top + 2))
+
+
+def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K @ U at a (B, d) batch, one column per point, and log(rho^top) per point.
+
+    U (P, B) is the power table u^alpha / rho^top over the basis rows, with
+    rho = max(1, max_i |u_i|), so its entries are at most 1 in modulus.  K
+    (G, P) stacks pullback coefficients (_pullback), any frame folded in.
+    """
+    rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
+    x = (u / rho[:, None]).T.copy()
+    U = np.empty((len(basis.exponents), len(u)), dtype=complex)
+    U[0] = 1.0
+    for j, lower, i in basis.steps:
+        np.multiply(U[lower], x[i], out=U[j])
+    scale = np.ones(len(u))
+    for m in range(basis.top - 1, -1, -1):
+        scale /= rho
+        U[basis.starts[m] : basis.starts[m + 1]] *= scale
+    return K @ U, basis.top * np.log(rho)
+
+
+def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBasis, np.ndarray]:
+    """Exact pullbacks m_a(F(u)) of the monomial rows along a chart.
+
+    Returns the basis of the u-monomials that occur and coeffs (1 + d, D,
+    P): the coefficients, over the basis rows, of the pullbacks (index 0)
+    and, when jet is set, of their derivatives by u_1..u_d; otherwise
+    coeffs has the first slice only.
+    """
+    d = chart.dim
+    values = []
+    for row in exponents:
+        p = Polynomial.constant(d, 1)
+        for component, e in zip(chart.components, row):
+            for _ in range(e):
+                p = p * component
+        values.append(p)
+    groups = [values] + ([[p.differentiate(i) for p in values] for i in range(d)] if jet else [])
+    basis = _PowerBasis([alpha for p in values for alpha in p.terms], d)
+    row = {alpha: j for j, alpha in enumerate(basis.exponents)}
+    coeffs = np.zeros((len(groups), len(exponents), len(basis.exponents)), dtype=complex)
+    for g, group in enumerate(groups):
+        for a, p in enumerate(group):
+            for alpha, c in p.terms.items():
+                coeffs[g, a, row[alpha]] = float(c)
+    return basis, coeffs
 
 
 def _weighted_outer_mean(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -349,15 +387,21 @@ def gram_matrix(
 ) -> tuple[np.ndarray, MCResult]:
     """Section inner products <s_a, s_b> over the cycle, FS metric on O(k).
 
-    The integrand m_a(z) conj(m_b(z)) / |z|^(2k) is evaluated on normalized
-    points, so it is bounded and the estimate is Hermitian by construction.
+    The integrand m_a(z) conj(m_b(z)) / |z|^(2k) is evaluated as m(z/|z|),
+    which is bounded, and the estimate is Hermitian by construction.  On a
+    chart m(z/|z|) = (C_0 @ U) rho^top / |F(u)|^k with C_0 the pullbacks
+    and U their scaled power table (monomial_jet); the factor is formed in
+    log space.
     """
     exponents = np.asarray(exponents, dtype=int)
+    pulled = {chart: _pullback(chart, exponents, jet=False) for chart in charts}
 
     def mean(chart, u, pdf):
         w, z = _base_weight(chart, u, pdf)
-        zhat = z / np.linalg.norm(z, axis=1, keepdims=True)
-        return _weighted_outer_mean(w, monomial_values(exponents, zhat))
+        basis, coeffs = pulled[chart]
+        V, log_scale = monomial_jet(basis, coeffs[0], u)
+        V *= np.exp(log_scale - k * np.log(np.linalg.norm(z, axis=1)))
+        return _weighted_outer_mean(w, V.T)
 
     result = mc_charts(charts, mean, n_samples, seed)
     H = hermitian_part(result.value)
@@ -425,34 +469,6 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
 # -- embedded cycles (Bergman geometry) ---------------------------------------
 
 
-def _embedded_jet(
-    chart: Chart, u: np.ndarray, gs_matrix: np.ndarray, exponents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jet of the section embedding along the chart.
-
-    Returns (W, dW, norm) where W = M m(zhat) (B, D) and dW (B, d, D) uses
-    the exact relation dW_true = |F|^(k-1) * dW, W_true = |F|^k * W; the
-    common |F| powers cancel in projective quantities, and the FS density of
-    the true embedding equals fs_density_values(W, dW) / |F|^(2d).
-    """
-    z = chart.values(u)
-    dz = chart.jacobian(u)
-    nrm = np.linalg.norm(z, axis=1)
-    if np.any(nrm == 0):
-        raise ValueError("indeterminate point: all components vanish")
-    zhat = z / nrm[:, None]
-    # the jet is built ROW_BLOCK points at a time and contracted with dz at
-    # once, so the (B, nv, D) derivative table never exists whole
-    m = np.empty((len(u), len(exponents)), dtype=complex)
-    dm = np.empty((len(u), chart.dim, len(exponents)), dtype=complex)
-    for lo in range(0, len(u), ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        m[rows], derivs = monomial_jet(exponents, zhat[rows])
-        np.matmul(dz[rows], derivs, out=dm[rows])
-        del derivs
-    return m @ gs_matrix.T, dm @ gs_matrix.T, nrm
-
-
 def embedded_mc(
     charts: Sequence[Chart],
     gs_matrix: np.ndarray,
@@ -466,20 +482,27 @@ def embedded_mc(
     reduce(w, V) gets the importance weights w (B,) of the FS volume of the
     embedded image and its unit points V (B, D), and returns the batch mean
     of the integrand.
+
+    The frame is folded into the pullbacks once, K = [M C_0; M C_1; ...],
+    so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
+    their u-derivatives dW, both scaled by the per-sample 1/rho^top, which
+    cancels in the projective density.
     """
     exponents = np.asarray(exponents, dtype=int)
+    pulled = {chart: _pullback(chart, exponents, jet=True) for chart in charts}
+    folded = {chart: (basis, np.concatenate(gs_matrix @ C)) for chart, (basis, C) in pulled.items()}
 
     def mean(chart, u, pdf):
-        W, dW, nrm = _embedded_jet(chart, u, gs_matrix, exponents)
-        # common per-sample rescale: projectively immaterial, prevents overflow
-        peak = np.max(np.abs(W), axis=1)
-        if np.any(peak == 0):
+        jet = monomial_jet(*folded[chart], u)[0].reshape(1 + chart.dim, -1, len(u))
+        W, dW = jet[0], jet[1:]
+        S = _squared_norms(W)
+        if np.any(S == 0):
+            if np.any(np.all(chart.values(u) == 0, axis=1)):
+                raise ValueError("indeterminate point: all components vanish")
             raise ValueError("embedded point vanished: sections do not span here")
-        W /= peak[:, None]
-        dW /= peak[:, None, None]
-        dens = fs_density_values(W, dW) / nrm ** (2 * chart.dim)
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
-        return reduce(dens / pdf, W)
+        dens = _fs_density(W, dW, S)
+        W /= np.sqrt(S)
+        return reduce(dens / pdf, W.T)
 
     return mc_charts(charts, mean, n_samples, seed)
 

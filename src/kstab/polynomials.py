@@ -261,8 +261,10 @@ class Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
-# factor: name ("^" uint)?;  term: [+-]? (int ("/" int)? | factor) ("*" factor)*
-_FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
+# name: [A-Za-z_][A-Za-z_0-9]*;  factor: name ("^" uint)?;
+# term: [+-]? (int ("/" int)? | factor) ("*" factor)*
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR = re.compile(rf"({NAME.pattern})(?:\s*\^\s*(\d+))?")
 _TERM = re.compile(
     rf"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?|{_FACTOR.pattern})"
     rf"(?:\s*\*\s*{_FACTOR.pattern})*\s*"

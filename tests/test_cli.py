@@ -369,6 +369,25 @@ def test_integer_fields_take_only_json_integers(tmp_path, capsys, overrides, key
 
 
 @pytest.mark.parametrize(
+    "names",
+    [
+        [True, False, True],
+        [0, 1, 2],
+        ["x", "y", None],
+        ["x", "y z", "w"],
+        ["x", "2y", "z"],
+        ["x", "y", ""],
+    ],
+)
+def test_variables_must_be_grammar_names(tmp_path, capsys, names):
+    # str() would turn true into a coordinate named True
+    path = write_config(tmp_path, variables=names)
+    assert run(["n2", path], tmp_path) == 2
+    assert "variables" in capsys.readouterr().err
+    assert not (tmp_path / "probe_n2.json").exists()
+
+
+@pytest.mark.parametrize(
     "overrides, key",
     [
         ({"generators": 5}, "generators"),
@@ -478,3 +497,21 @@ def test_bad_t_grid_spec(tmp_path, capsys):
     # argparse failures are translated to the validation exit code
     assert main(["ray", DL, "--t-grid=oops", "--out", str(tmp_path)]) == 2
     assert "t-grid" in capsys.readouterr().err
+
+
+def test_t_grid_steps_are_capped(tmp_path, capsys):
+    assert len(cli._t_grid_spec(f"-0.1:-40:{cli.MAX_T_STEPS}")) == cli.MAX_T_STEPS
+    assert run(["ray", DL, f"--t-grid=-0.1:-40:{cli.MAX_T_STEPS + 1}"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "--t-grid" in err and f"steps must be at most {cli.MAX_T_STEPS}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, command", [("--tol-n2", "n2"), ("--tol-chow", "chow"), ("--tol-boundary", "envelope")]
+)
+def test_tolerances_are_finite_and_nonnegative(tmp_path, capsys, flag, command, value):
+    assert run([command, DL, f"{flag}={value}"], tmp_path) == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

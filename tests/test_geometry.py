@@ -24,7 +24,6 @@ from kstab.geometry import (
     hermitian_part,
     mc_charts,
     moment_matrix,
-    monomial_jet,
     monomial_values,
     n2_integral,
 )
@@ -32,7 +31,7 @@ from kstab.rays import chow_weight_numeric
 from kstab.spectra import graded_slice
 
 from conftest import config_path
-from oracles import bergman_density, fs_mass, fs_volume_density, mc_integrate
+from oracles import bergman_density, fs_mass, fs_volume_density, mc_integrate, monomials
 
 U = ("u",)
 
@@ -246,6 +245,20 @@ def test_failure_cancels_pending_jobs_and_leaves_no_thread(monkeypatch):
 # -- monomial evaluation ---------------------------------------------------------------
 
 
+MOBIUS = chart("1 + u", "1 - u")  # all of P^1 but [1:-1], through no monomial chart
+
+
+def _direct_jet(fiber, exps, u):
+    """Monomials at z = F(u) and their chain-rule u-derivatives, evaluated directly."""
+    z, dz = fiber.values(u), fiber.jacobian(u)
+    values = monomial_values(exps, z)
+    by_z = []  # d m_a / d z_v = a_v z^(a - e_v)
+    for v in range(exps.shape[1]):
+        lowered = exps - np.eye(exps.shape[1], dtype=int)[v]
+        by_z.append(exps[:, v] * monomial_values(np.maximum(lowered, 0), z))
+    return values, np.einsum("biv,vba->bia", dz, np.array(by_z))
+
+
 def test_monomial_values_and_jet_exact():
     exps = np.array([[2, 0], [1, 1], [0, 2]])
     zh = np.array([[0.6 + 0.0j, 0.8j], [1.0 + 0j, 0.0 + 0j]])
@@ -253,12 +266,47 @@ def test_monomial_values_and_jet_exact():
     assert np.allclose(vals[0], [0.36, 0.6 * 0.8j, -0.64])
     assert np.allclose(vals[1], [1.0, 0.0, 0.0])
 
-    jet_vals, ders = monomial_jet(exps, zh)
-    assert np.allclose(jet_vals, vals)
-    # d/dz0 of z0^2 at (1,0) is 2; zero-exponent derivatives vanish, no NaN
-    assert np.allclose(ders[1, 0], [2.0, 0.0, 0.0])
-    assert np.allclose(ders[1, 1], [0.0, 1.0, 0.0])
-    assert np.all(np.isfinite(ders))
+    # the exact pullbacks on a scaled power table, times rho^top, are the
+    # monomials at F(u) and their chain-rule derivatives
+    u = np.array([[0.0j], [0.3 - 0.2j], [-1.0 + 0j], [2.5 + 4j], [-40 + 15j]])
+    uv = ("u", "v")
+    surface = Chart(uv, tuple(parse_polynomial(c, uv) for c in ("1", "u + v", "u*v - v^2")))
+    uv_points = np.column_stack([u[:, 0], [1j, 0.0, 3 - 1j, -0.5, 70 + 2j]])
+    for fiber, exps, u in (
+        (CONIC, np.array(monomials(3, 4)), u),
+        (MOBIUS, np.array(monomials(2, 5)), u),
+        (surface, np.array(monomials(3, 3)), uv_points),
+    ):
+        basis, coeffs = geometry._pullback(fiber, exps, jet=True)
+        U, log_scale = geometry.monomial_jet(basis, np.eye(len(basis.exponents)), u)
+        assert np.max(np.abs(U)) <= 1.0 + 1e-12
+        got = np.einsum("jap,pb->bja", coeffs, U) * np.exp(log_scale)[:, None, None]
+        values, derivs = _direct_jet(fiber, exps, u)
+        scale = np.max(np.abs(values), axis=1)[:, None]
+        assert np.max(np.abs(got[:, 0] - values) / scale) < 1e-13
+        assert np.max(np.abs(got[:, 1:] - derivs) / scale[:, None]) < 1e-12
+        # values only: the same first slice
+        assert np.array_equal(geometry._pullback(fiber, exps, jet=False)[1], coeffs[:1])
+
+
+def test_far_draws_at_high_pulled_back_degree_stay_finite(monkeypatch):
+    # |u| = 1e8 at pulled-back degree 48: u^48 alone overflows a float
+    draw = geometry._draw_batch
+
+    def far(rng, size, d):
+        u, pdf = draw(rng, size, d)
+        u[:64] = 1e8 * np.exp(2j * pi * np.arange(64) / 64)[:, None]
+        return u, pdf
+
+    monkeypatch.setattr(geometry, "_draw_batch", far)
+    k = 24
+    exps = np.array([[a, e, k - a - e] for e in (0, 1) for a in range(k + 1 - e)])
+    assert geometry._pullback(CONIC, exps, jet=True)[0].top == 2 * k
+    G, gram_mc = gram_matrix([CONIC], exps, k, 8192, 4)
+    M, moment_mc = moment_matrix([CONIC], np.eye(len(exps)), exps, 8192, 4)
+    for value in (G, gram_mc.stderr, M, moment_mc.stderr):
+        assert np.all(np.isfinite(value))
+    assert abs(np.trace(M).real - 2 * k) <= 5 * float(np.sum(np.diag(moment_mc.stderr))) + 1e-9
 
 
 # -- Gram and moment matrices ------------------------------------------------------------
@@ -277,6 +325,20 @@ def test_gram_diagonal_beta_law():
         )
         assert abs(G[a, a].real - exact) <= 5 * mc.stderr[a, a] + 1e-9
         assert abs(exact - quadrature) < 1e-8
+
+
+def test_gram_reparametrized_line_matches_beta_law():
+    # [1+u : 1-u] covers P^1 through a Mobius change of chart, so the Gram
+    # matrix of the level-16 monomials is the diagonal Beta law
+    from oracles import radial_integral
+
+    k = 16
+    exps = np.array([[k - a, a] for a in range(k + 1)])
+    G, mc = gram_matrix([MOBIUS], exps, k, 100_000, 2)
+    exact = np.diag(
+        [radial_integral([1, 1], lambda s, a=a: s**a / (1 + s) ** k) for a in range(k + 1)]
+    )
+    assert np.all(np.abs(G - exact) <= 5 * np.asarray(mc.stderr) + 1e-9)
 
 
 def test_gram_rotation_block_diagonal():
