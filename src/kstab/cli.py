@@ -6,6 +6,10 @@ stderr) plus a grid CSV for the ray commands.  Exit codes: 0 success, 2
 validation error (bad file, bad flags, bad mathematics requested, reports
 that cannot be written), 3 numeric-diagnostic failure (an estimate failed
 its own acceptance gate; the report file is still written).
+
+flat-limit, spectrum, futaki and chow never import NumPy or SciPy; the
+sampling commands (n2, ray, mass, envelope, report, chow --numeric) import
+the numeric layer, kstab.geometry and kstab.rays, in their handlers.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .asymptotics import (
     AsymptoticReport,
@@ -28,29 +31,20 @@ from .asymptotics import (
     fit_asymptotics,
     operator_norm_check,
 )
-from .geometry import BATCH_SIZE, Chart, n2_integral
 from .groebner import initial_ideal
-from .polynomials import NAME, parse_polynomial
-from .rays import (
-    SectionFrame,
-    build_ray_grid,
-    chow_weight_numeric,
-    convexity_report,
-    geometric_t_grid,
-    grid_points,
-    ma_mass,
-    section_frame,
-    slope_report,
-    sup_osc_report,
-)
+from .polynomials import NAME, Chart, parse_polynomial
 from .spectra import TestConfiguration, graded_slice
+
+if TYPE_CHECKING:
+    from .rays import SectionFrame
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-# the engine draws whole batches, and at least two for a stderr
-MIN_SAMPLES = 2 * BATCH_SIZE
+# the engine draws whole batches, and at least two for a stderr: two of
+# geometry.BATCH_SIZE, written out so parsing needs no NumPy (test_cli pins it)
+MIN_SAMPLES = 8192
 # --t-grid times per ray; each adds a row per (point, level) to the CSV
 MAX_T_STEPS = 1000
 _AUTO_PARAMS = ("u", "v", "w")
@@ -169,12 +163,10 @@ def _jsonable(value):
         if not math.isfinite(value):
             return repr(value)
         return value
-    if isinstance(value, (np.bool_, np.floating, np.integer)):
-        return _jsonable(value.item())
+    if hasattr(value, "tolist"):  # NumPy scalars and arrays
+        return _jsonable(value.tolist())
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -199,7 +191,7 @@ def _write_csv(path: Path, grid) -> None:
 
 def _mc_fields(result) -> dict:
     return {
-        "stderr": result.stderr if np.ndim(result.stderr) == 0 else None,
+        "stderr": result.stderr if isinstance(result.stderr, float) else None,
         "n_samples": result.n_samples,
         "batch_size": result.batch_size,
         "consistency_ok": result.consistency_ok,
@@ -229,6 +221,8 @@ class Inputs:
         return fit_asymptotics(self.config)
 
     def frame(self, k: int, samples: int, seed: int) -> SectionFrame:
+        from .rays import section_frame
+
         key = (k, samples, seed)
         if key not in self.frames:
             self.frames[key] = section_frame(self.config, self.fiber, k, samples, seed)
@@ -318,6 +312,8 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
             raise ConfigError(
                 "chow --numeric needs a 'cycle' section describing the flat limit"
             )
+        from .rays import chow_weight_numeric
+
         payload["numeric"] = []
         for k in run.k or (1,):
             numeric = chow_weight_numeric(
@@ -362,6 +358,8 @@ def _ambient_lambda(config: TestConfiguration) -> list[float]:
 def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     if not inputs.cycle:
         raise ConfigError("n2 needs a 'cycle' section describing the flat limit")
+    from .geometry import n2_integral
+
     lam = _ambient_lambda(inputs.config)
     result = n2_integral(inputs.cycle, lam, run.samples, run.seed)
     exact = inputs.fit.n2_sq
@@ -387,6 +385,8 @@ def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)
         raise ConfigError(
             f"{run.command} needs a 'fiber' section parametrizing the variety"
         )
+    from .rays import build_ray_grid, grid_points
+
     report = inputs.fit
     ks = run.k or k_default
     frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
@@ -407,6 +407,8 @@ def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)
 
 
 def _cmd_ray(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, object]:
+    from .rays import convexity_report, slope_report, sup_osc_report
+
     frames, grid, payload = _ray_machinery(run, inputs)
     slopes = slope_report(grid)
     convexity = convexity_report(grid)
@@ -425,7 +427,7 @@ def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, o
     if len(ks) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
     _, grid, payload = _ray_machinery(run, inputs, ks)
-    near = int(np.argmax(np.array(grid.t_grid)))
+    near = grid.t_grid.index(max(grid.t_grid))
     ok = grid.strict_decrease and grid.boundary_continuity <= run.tol_boundary
     payload.update(
         strict_decrease=grid.strict_decrease,
@@ -440,6 +442,8 @@ def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, o
 def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     if not inputs.fiber:
         raise ConfigError("mass needs a 'fiber' section parametrizing the variety")
+    from .rays import ma_mass
+
     ks = run.k or tuple(range(2, 13))
     rows = []
     masses = []
@@ -551,6 +555,16 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
     return values
+
+
+def geometric_t_grid(t_near: float = -0.1, t_far: float = -40.0, steps: int = 25) -> tuple[float, ...]:
+    """Geometrically spaced negative times from t_near toward t_far."""
+    if not (t_far < t_near < 0):
+        raise ValueError("need t_far < t_near < 0")
+    if steps < 2:
+        raise ValueError("need at least two grid times")
+    ratio = (t_far / t_near) ** (1.0 / (steps - 1))
+    return tuple(t_near * ratio**i for i in range(steps))
 
 
 def _t_grid_spec(text: str) -> tuple[float, ...]:

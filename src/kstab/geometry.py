@@ -31,59 +31,38 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial
+from .polynomials import Chart, Polynomial
 
 BATCH_SIZE = 4096
 HERMITIAN_TOL = 1e-12
 PIVOT_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Polynomial parametrization of one cycle component.
+# -- point evaluation ---------------------------------------------------------
 
-    components map C^d -> C^(m+1) and must not vanish simultaneously away
-    from a measure-zero set.
-    """
 
-    params: tuple[str, ...]
-    components: tuple[Polynomial, ...]
-    multiplicity: int = 1
+def evaluate_batch(poly: Polynomial, points: np.ndarray) -> np.ndarray:
+    """Evaluate at a (B, nvars) complex array; returns shape (B,)."""
+    points = np.asarray(points)
+    out = np.zeros(points.shape[0], dtype=complex)
+    for expo, coeff in poly.terms.items():
+        term = np.full(points.shape[0], complex(coeff))
+        for j, e in enumerate(expo):
+            if e:
+                term = term * points[:, j] ** e
+        out += term
+    return out
 
-    def __post_init__(self):
-        if not self.params:
-            raise ValueError("chart needs at least one parameter")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-        if all(not c for c in self.components):
-            raise ValueError("all chart components are zero")
-        for c in self.components:
-            if c.nvars != len(self.params):
-                raise ValueError("component arity does not match chart parameters")
-        derivs = tuple(
-            tuple(c.differentiate(i) for c in self.components)
-            for i in range(len(self.params))
-        )
-        object.__setattr__(self, "_derivs", derivs)
 
-    @property
-    def dim(self) -> int:
-        return len(self.params)
+def chart_values(chart: Chart, u: np.ndarray) -> np.ndarray:
+    """Component values at a (B, d) batch; returns (B, m+1)."""
+    return np.stack([evaluate_batch(c, u) for c in chart.components], axis=1)
 
-    @property
-    def ambient_count(self) -> int:
-        return len(self.components)
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """Component values at a (B, d) batch; returns (B, m+1)."""
-        return np.stack([c.evaluate_batch(u) for c in self.components], axis=1)
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """Holomorphic derivatives at a (B, d) batch; returns (B, d, m+1)."""
-        rows = []
-        for i in range(self.dim):
-            rows.append(np.stack([p.evaluate_batch(u) for p in self._derivs[i]], axis=1))
-        return np.stack(rows, axis=1)
+def chart_jacobian(chart: Chart, u: np.ndarray) -> np.ndarray:
+    """Holomorphic derivatives at a (B, d) batch; returns (B, d, m+1)."""
+    rows = [np.stack([evaluate_batch(p, u) for p in row], axis=1) for row in chart.derivatives]
+    return np.stack(rows, axis=1)
 
 
 # -- Fubini-Study density -----------------------------------------------------
@@ -279,8 +258,8 @@ def mc_charts(
 
 def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Importance weight of the chart's own FS measure, plus ambient points."""
-    z = chart.values(u)
-    dz = chart.jacobian(u)
+    z = chart_values(chart, u)
+    dz = chart_jacobian(chart, u)
     dens = fs_density_values(z, dz)
     return dens / pdf, z
 
@@ -497,7 +476,7 @@ def embedded_mc(
         W, dW = jet[0], jet[1:]
         S = _squared_norms(W)
         if np.any(S == 0):
-            if np.any(np.all(chart.values(u) == 0, axis=1)):
+            if np.any(np.all(chart_values(chart, u) == 0, axis=1)):
                 raise ValueError("indeterminate point: all components vanish")
             raise ValueError("embedded point vanished: sections do not span here")
         dens = _fs_density(W, dW, S)

@@ -6,8 +6,9 @@ polynomial is a sparse exponent->coefficient map.  A weighted term order
 notion of *leading* monomial used by the Groebner/flat-limit layer: monomials
 of smaller weight precede, so initial forms keep the minimal-weight terms.
 
-Everything here is exact; floats only appear when a polynomial is evaluated
-on numeric point batches.
+Everything here is exact.  A Chart, the polynomial parametrization of a
+cycle component, is plain polynomial data too; the numeric layer
+(kstab.geometry) evaluates it on point batches.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 Exponents = tuple[int, ...]
 
@@ -213,18 +212,6 @@ class Polynomial:
             total += val
         return total
 
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at a (B, nvars) complex array; returns shape (B,)."""
-        points = np.asarray(points)
-        out = np.zeros(points.shape[0], dtype=complex)
-        for expo, coeff in self.terms.items():
-            term = np.full(points.shape[0], complex(coeff))
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * points[:, j] ** e
-            out += term
-        return out
-
     # -- printing ------------------------------------------------------------
 
     def to_string(self, variables: tuple[str, ...], order: TermOrder | None = None) -> str:
@@ -257,6 +244,44 @@ class Polynomial:
     def __repr__(self):
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Polynomial({self.to_string(names)})"
+
+
+@dataclass(frozen=True)
+class Chart:
+    """Polynomial parametrization of one cycle component.
+
+    components map C^d -> C^(m+1) and must not vanish simultaneously away
+    from a measure-zero set.  derivatives[i] holds the components
+    differentiated by the i-th parameter.
+    """
+
+    params: tuple[str, ...]
+    components: tuple[Polynomial, ...]
+    multiplicity: int = 1
+
+    def __post_init__(self):
+        if not self.params:
+            raise ValueError("chart needs at least one parameter")
+        if self.multiplicity < 1:
+            raise ValueError("multiplicity must be a positive integer")
+        if all(not c for c in self.components):
+            raise ValueError("all chart components are zero")
+        for c in self.components:
+            if c.nvars != len(self.params):
+                raise ValueError("component arity does not match chart parameters")
+        derivatives = tuple(
+            tuple(c.differentiate(i) for c in self.components)
+            for i in range(len(self.params))
+        )
+        object.__setattr__(self, "derivatives", derivatives)
+
+    @property
+    def dim(self) -> int:
+        return len(self.params)
+
+    @property
+    def ambient_count(self) -> int:
+        return len(self.components)
 
 
 # -- parsing ----------------------------------------------------------------

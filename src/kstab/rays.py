@@ -24,7 +24,6 @@ import numpy as np
 
 from .asymptotics import AsymptoticReport, chow_weight_algebraic
 from .geometry import (
-    Chart,
     MCResult,
     embedded_mc,
     energy_derivative,
@@ -33,6 +32,7 @@ from .geometry import (
     moment_matrix,
     monomial_values,
 )
+from .polynomials import Chart
 from .spectra import TestConfiguration, graded_slice
 
 PARAM_VALUES = (
@@ -335,16 +335,6 @@ def build_ray_grid(
         strict_decrease=strict,
         boundary_continuity=boundary,
     )
-
-
-def geometric_t_grid(t_near: float = -0.1, t_far: float = -40.0, steps: int = 25) -> tuple[float, ...]:
-    """Geometrically spaced negative times from t_near toward t_far."""
-    if not (t_far < t_near < 0):
-        raise ValueError("need t_far < t_near < 0")
-    if steps < 2:
-        raise ValueError("need at least two grid times")
-    ratio = (t_far / t_near) ** (1.0 / (steps - 1))
-    return tuple(t_near * ratio**i for i in range(steps))
 
 
 # -- diagnostics on the grid ---------------------------------------------------

@@ -18,10 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .groebner import buchberger, leading_exponent_set, standard_monomials
 from .polynomials import Exponents, Polynomial, TermOrder, monomial_divides, monomial_weight
 from .polynomials import parse_polynomial
+
+# levels 1..k of N+1 variables hold at most C(k+N+1, N+1) monomials (all of
+# degree <= k); a request above this count is refused before anything is built
+MAX_MONOMIALS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +133,12 @@ def graded_slice(config: TestConfiguration, k: int) -> GradedSlice:
     """The degree-k slice; missing levels are built in a loop from the top cached one."""
     if k < 1:
         raise ValueError("degree must be a positive integer")
+    nvars = len(config.variables)
+    if comb(k + nvars, nvars) > MAX_MONOMIALS:
+        raise ValueError(
+            f"level {k} is too high: {nvars} variables have {comb(k + nvars, nvars)}"
+            f" monomials of degree <= {k}, above the limit of {MAX_MONOMIALS}"
+        )
     levels = _levels(config)
     while len(levels) < k:
         levels.append(_next_level(config, levels[-1] if levels else None))

@@ -32,14 +32,16 @@ from scipy.integrate import quad
 
 from kstab.asymptotics import DEGREE_CAP, newton_power_coefficients
 from kstab.geometry import (
-    Chart,
     MCResult,
     _base_weight,
+    chart_jacobian,
+    chart_values,
     fs_density_values,
     mc_charts,
     monomial_values,
 )
 from kstab.groebner import normal_form, s_polynomial
+from kstab.polynomials import Chart
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
@@ -346,7 +348,7 @@ def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
-    return fs_density_values(chart.values(u), chart.jacobian(u))
+    return fs_density_values(chart_values(chart, u), chart_jacobian(chart, u))
 
 
 def fs_mass(charts: Sequence[Chart], n_samples: int, seed) -> MCResult:

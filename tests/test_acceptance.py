@@ -33,7 +33,8 @@ from kstab import (
     sup_osc_report,
 )
 from kstab.cli import main
-from kstab.geometry import Chart, hermitian_part
+from kstab.geometry import hermitian_part
+from kstab.polynomials import Chart
 
 import oracles
 from conftest import SAMPLES, SEED, config_path, t_grid_with

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from kstab import cli, spectra
+import kstab
+from kstab import cli, geometry, rays, spectra
 from kstab.cli import main
 
 from conftest import config_path
@@ -143,7 +145,7 @@ def test_mass_payload(tmp_path):
 
 
 def test_mass_consistency_failure_is_not_a_positivity_failure(tmp_path, monkeypatch):
-    real = cli.ma_mass
+    real = rays.ma_mass
 
     def inconsistent(*args):
         er = real(*args)
@@ -151,7 +153,7 @@ def test_mass_consistency_failure_is_not_a_positivity_failure(tmp_path, monkeypa
             er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ok=False)
         )
 
-    monkeypatch.setattr(cli, "ma_mass", inconsistent)
+    monkeypatch.setattr(rays, "ma_mass", inconsistent)
     code = run(["mass", DL, "--k", "2,3", "--samples", "20000"], tmp_path)
     payload = load(tmp_path, "conic_double_line_mass")
     assert code == 3
@@ -226,7 +228,7 @@ def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "section_frame", counted(cli.section_frame, levels))
+    monkeypatch.setattr(rays, "section_frame", counted(rays.section_frame, levels))
     monkeypatch.setattr(cli, "fit_asymptotics", counted(cli.fit_asymptotics, fits))
     run(["report", DL, "--samples", "8192"], tmp_path)
     # mass uses levels 2, 3, 4, 6 and the ray 4, 8, 16: level 4 is shared
@@ -281,18 +283,67 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # SciPy is imported only by the functions that call it
+    # SciPy and NumPy are imported only by the functions that sample
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, kstab, kstab.cli; print('scipy' in sys.modules)",
+            "import sys, kstab, kstab.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+BUNDLED = ("conic_double_line", "conic_two_lines", "product_p1", "trivial_p1")
+# runs each command on every bundled config in one interpreter, then prints
+# the exit codes and which numeric libraries that interpreter has loaded
+IMPORT_PROBE = """
+import sys
+from kstab.cli import main
+command, out, *extra = sys.argv[1:]
+codes = [main([command, path, "--out", out, *extra]) for path in sys.stdin.read().split()]
+print(codes, "numpy" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+def _probe_imports(command, tmp_path, *extra, names=BUNDLED):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, command, str(tmp_path), *extra],
+        input="\n".join(str(config_path(name)) for name in names),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["flat-limit", "spectrum", "futaki", "chow"])
+def test_exact_commands_leave_numpy_unloaded(command, tmp_path):
+    assert _probe_imports(command, tmp_path) == "[0, 0, 0, 0] False False"
+
+
+@pytest.mark.parametrize("command", ["n2", "chow"])
+def test_sampling_commands_load_numpy(command, tmp_path):
+    extra = ["--numeric"] if command == "chow" else []
+    line = _probe_imports(command, tmp_path, *extra, names=("conic_double_line",))
+    assert line.startswith("[0] True")
+
+
+def test_lazy_package_names_resolve():
+    assert kstab.section_frame is rays.section_frame
+    assert kstab.ma_mass is rays.ma_mass
+    assert kstab.geometric_t_grid is cli.geometric_t_grid
+    assert all(getattr(kstab, name) is not None for name in kstab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kstab.no_such_name
+
+
+def test_sample_floor_is_two_batches():
+    # the parser keeps its own copy so that parsing needs no NumPy
+    assert cli.MIN_SAMPLES == 2 * geometry.BATCH_SIZE
 
 
 # -- validation failures (exit 2) -----------------------------------------------------
@@ -505,6 +556,15 @@ def test_t_grid_steps_are_capped(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--t-grid" in err and f"steps must be at most {cli.MAX_T_STEPS}" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_level_above_the_monomial_limit_exits_quickly(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["spectrum", DL, "--k", "1500"], tmp_path) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "level 1500 is too high" in err
+    assert f"limit of {spectra.MAX_MONOMIALS}" in err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

@@ -13,10 +13,11 @@ from math import factorial, pi
 import numpy as np
 import pytest
 
-from kstab import cli, geometry, parse_polynomial
+from kstab import Chart, cli, geometry, parse_polynomial
 from kstab.geometry import (
     BATCH_SIZE,
-    Chart,
+    chart_jacobian,
+    chart_values,
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
@@ -250,7 +251,7 @@ MOBIUS = chart("1 + u", "1 - u")  # all of P^1 but [1:-1], through no monomial c
 
 def _direct_jet(fiber, exps, u):
     """Monomials at z = F(u) and their chain-rule u-derivatives, evaluated directly."""
-    z, dz = fiber.values(u), fiber.jacobian(u)
+    z, dz = chart_values(fiber, u), chart_jacobian(fiber, u)
     values = monomial_values(exps, z)
     by_z = []  # d m_a / d z_v = a_v z^(a - e_v)
     for v in range(exps.shape[1]):
@@ -360,7 +361,7 @@ def test_gram_accumulation_matches_three_operand_einsum(fiber, exps):
     # the same draws, accumulated as sum_b w_b m_a(z_b) conj(m_c(z_b)) by einsum
     def einsum_mean(chart, u, pdf):
         w = fs_volume_density(chart, u) / pdf
-        z = chart.values(u)
+        z = chart_values(chart, u)
         m = monomial_values(exps, z / np.linalg.norm(z, axis=1, keepdims=True))
         return np.einsum("b,ba,bc->ac", w, m, m.conj()) / len(w)
 

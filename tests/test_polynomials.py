@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kstab.geometry import evaluate_batch
 from kstab.polynomials import (
     Polynomial,
     TermOrder,
@@ -139,7 +140,7 @@ def test_evaluate_exact_matches_batch():
     f = poly("1/2*x^2*z - y^2 + 3*z^3")
     point = (Fraction(2), Fraction(-1), Fraction(1, 3))
     exact = f.evaluate_exact(point)
-    batch = f.evaluate_batch(np.array([[2.0, -1.0, 1.0 / 3.0]]))
+    batch = evaluate_batch(f, np.array([[2.0, -1.0, 1.0 / 3.0]]))
     assert batch.shape == (1,)
     assert abs(batch[0] - float(exact)) < 1e-12
 

@@ -25,7 +25,7 @@ from kstab import (
     slope_report,
     sup_osc_report,
 )
-from kstab.geometry import Chart
+from kstab.polynomials import Chart
 
 import oracles
 from conftest import RAY_LEVELS, SAMPLES, SEED

@@ -1,6 +1,7 @@
 """Per-degree flat-limit spectra against the hand-derived enumeration oracle."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -168,10 +169,21 @@ def test_degree_must_be_positive():
         graded_slice(p1((1, 0)), 0)
 
 
-def test_high_level_is_built_without_recursion():
-    # every level below 1500 is built first, in a loop: no RecursionError
+def test_high_level_is_built_without_recursion(monkeypatch):
+    # every level below 1500 is built first, in a loop: no RecursionError.
+    # Level 1500 of a conic lies above MAX_MONOMIALS, so the limit is lifted here.
+    monkeypatch.setattr(spectra, "MAX_MONOMIALS", 10**9)
     try:
         s = graded_slice(conic((0, 0, 1), name="conic-high"), 1500)
         assert (s.dim, s.total_weight) == (2 * 1500 + 1, 1500**2)
     finally:
         spectra._levels.cache_clear()  # release the 1500 levels
+
+
+def test_level_above_the_monomial_limit_is_refused():
+    config = conic((0, 0, 1), name="conic-limit")
+    top = max(k for k in range(1, 400) if comb(k + 3, 3) <= spectra.MAX_MONOMIALS)
+    with pytest.raises(ValueError, match=f"level {top + 1} is too high.*limit of"):
+        graded_slice(config, top + 1)
+    assert spectra._levels(config) == []  # refused before any level was built
+    assert graded_slice(config, 5).dim == 11
