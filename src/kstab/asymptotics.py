@@ -10,16 +10,19 @@ k^(n+2), the extremal slope limits of lambda_min/k and the spectral-gap
 analogue, and the per-level Chow weights read in closed form from the two
 fitted polynomials.
 
-Everything is computed in rational arithmetic, and nothing is searched:
-the two slope limits are read in closed form from the initial leads and
-the weights.
+The per-level data are Python integers, and so is the arithmetic on them:
+interpolation and the Chow ladder work over integers and one common
+denominator, and a Fraction is built only for each exact output (a fitted
+coefficient, an invariant, a Chow weight).  Every output is exact.  Nothing
+is searched: the two slope limits are read in closed form from the initial
+leads and the weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .spectra import TestConfiguration, graded_slice
@@ -28,31 +31,44 @@ DEGREE_CAP = 64
 
 
 def newton_power_coefficients(
-    xs: Sequence[Fraction], ys: Sequence[Fraction]
+    xs: Sequence[int], ys: Sequence[int | Fraction]
 ) -> tuple[Fraction, ...]:
-    """Coefficients (ascending powers) of the interpolating polynomial."""
+    """Coefficients (ascending powers) of the polynomial through (xs[i], ys[i]).
+
+    The m nodes must be the consecutive integers x0, x0+1, ..., x0+m-1, and
+    the values ints or Fractions.  Over the values' common denominator den
+    the scaled values Y = den*y are integers, and Newton's forward form on
+    such nodes,
+
+        (m-1)! den P(x) = sum_j ((m-1)!/j!) Delta^j Y_0 prod_(i<j) (x - x0 - i),
+
+    has integer terms only.  It is expanded in integers by Horner's rule,
+    and each coefficient is then one Fraction over (m-1)! den.  Trailing
+    zero coefficients are dropped, keeping at least one.
+    """
     m = len(xs)
     if m != len(ys) or m == 0:
         raise ValueError("need equally many nodes and values, at least one")
-    divided = list(ys)
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form sum_j divided[j] * prod_{i<j}(x - xs[i])
-    coeffs = [Fraction(0)] * m
-    basis = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    for j in range(m):
-        for i in range(j + 1):
-            coeffs[i] += divided[j] * basis[i]
-        if j + 1 < m:
-            new_basis = [Fraction(0)] * m
-            for i in range(j + 1):
-                new_basis[i + 1] += basis[i]
-                new_basis[i] -= xs[j] * basis[i]
-            basis = new_basis
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    x0 = xs[0]
+    if x0 != int(x0) or any(x != x0 + i for i, x in enumerate(xs)):
+        raise ValueError(f"interpolation nodes must be consecutive integers, got {list(xs)}")
+    x0 = int(x0)
+    den = lcm(*(y.denominator for y in ys))
+    row = [y.numerator * (den // y.denominator) for y in ys]
+    leading = [row[0]]  # the forward differences Delta^j Y_0
+    for _ in range(1, m):
+        row = [b - a for a, b in zip(row, row[1:])]
+        leading.append(row[0])
+    poly, scale = [leading[-1]], 1  # scale = (m-1)!/j!
+    for j in range(m - 2, -1, -1):
+        scale *= j + 1
+        node = x0 + j
+        poly = [a - node * b for a, b in zip([0] + poly, poly + [0])]  # (x - node) * poly
+        poly[0] += scale * leading[j]
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    total = scale * den
+    return tuple(Fraction(c, total) for c in poly)
 
 
 @dataclass(frozen=True)
@@ -156,9 +172,9 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
             f"k = {DEGREE_CAP}"
         )
     nodes = range(k0, k_edge + 1)
-    xs, slices = [Fraction(k) for k in nodes], [graded_slice(config, k) for k in nodes]
+    slices = [graded_slice(config, k) for k in nodes]
     d_coeffs, w_coeffs, trb2_coeffs = (
-        newton_power_coefficients(xs, [Fraction(getattr(s, name)) for s in slices])
+        newton_power_coefficients(nodes, [getattr(s, name) for s in slices])
         for name in ("dim", "total_weight", "tr_b_sq")
     )
 
@@ -252,21 +268,23 @@ def chow_weight_algebraic(
     n = report.n
     sl = graded_slice(config, r)
     d_r, w_r = sl.dim, sl.total_weight
-    zero = Fraction(0)
-    a_prev = (zero,) + report.hilbert_coeffs  # a_prev[i] = a_(i-1)
-    b = report.weight_coeffs + (zero,) * (n + 2 - len(report.weight_coeffs))
+    # the ladder over the fitted polynomials' common denominator den:
+    # den * c_i = r^i (r d_r B_i - w(r) A_(i-1)) with A = den * a, B = den * b
+    den = lcm(*(c.denominator for c in report.hilbert_coeffs + report.weight_coeffs))
+    a_prev = [0] + [c.numerator * (den // c.denominator) for c in report.hilbert_coeffs]
+    b = [c.numerator * (den // c.denominator) for c in report.weight_coeffs]
+    b += [0] * (n + 2 - len(b))
     tilde = [r**i * (r * d_r * b[i] - w_r * a_prev[i]) for i in range(n + 2)]
-    mu = factorial(n + 1) * tilde[n + 1] / (r * d_r)
+    mu = Fraction(factorial(n + 1) * tilde[n + 1], den * r * d_r)
     while len(tilde) > 1 and tilde[-1] == 0:
         tilde.pop()
     c = 1 / (report.a_n * factorial(n + 1))
-    residual = -c * mu / Fraction(r) ** n - report.F_1
     return ChowReport(
         r=r,
         mu=mu,
-        tilde_w_coeffs=tuple(tilde),
+        tilde_w_coeffs=tuple(Fraction(t, den) for t in tilde),
         c_X_omega=c,
-        futaki_residual=residual,
+        futaki_residual=-c * mu / r**n - report.F_1,
     )
 
 
@@ -310,7 +328,9 @@ def operator_norm_check(
     c_star = Fraction(0)
     for k in range(1, k_max + 1):
         sl = graded_slice(config, k)
-        local = max(abs(sl.a_spectrum[0]), abs(sl.a_spectrum[-1])) / Fraction(k)
-        c_star = max(c_star, local)
+        # the extreme traceless weights are (d b - w)/d at the two ends of b
+        d, w = sl.dim, sl.total_weight
+        extreme = max(abs(d * sl.b_spectrum[0] - w), abs(d * sl.b_spectrum[-1] - w))
+        c_star = max(c_star, Fraction(extreme, d * k))
     budget = Fraction(max(abs(w) for w in config.weights)) + abs(report.F_0) + 1
     return {"C_star": c_star, "budget": budget, "pass": c_star <= budget}

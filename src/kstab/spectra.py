@@ -8,16 +8,21 @@ scalar summaries (dimension, total weight, trace of the squared traceless
 generator, extremal eigenvalues) that the asymptotic layer interpolates.
 
 Slices are built degree by degree, each from the one below, so a level
-costs about its own dimension, not the count of all degree-k monomials;
-the arithmetic stays in integers up to the traceless Fractions.  One cache
-holds each configuration's levels, and every reader shares it.
+costs about its own dimension, not the count of all degree-k monomials.
+A slice is built in Python integers: its weights, dimension, total weight
+and trace of the squared weight generator.  The traceless spectrum, its
+squared trace and its two lowest eigenvalues are exact Fractions, computed
+from those integers when a reader first asks for them, so the interpolation
+and the Chow weights, which read only the integers, build no Fraction here.
+One cache holds each configuration's levels, and every reader shares it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .groebner import buchberger, leading_exponent_set, standard_monomials
@@ -104,11 +109,17 @@ class TestConfiguration:
 class GradedSlice:
     """Degree-k slice data of a test configuration.
 
-    monomials are the standard monomials ordered by (weight, exponents), and
-    b_spectrum their raw weights in that order (the diagonal of the weight
-    generator on the slice), so ascending; tr_b_sq is sum(b^2).  a_spectrum
-    is the traceless shift b - w/d, and tr_a_sq the exact trace of the
-    squared traceless generator, sum(b^2) - w^2/d.
+    The fields are integers.  monomials are the standard monomials ordered
+    by (weight, exponents), and b_spectrum their raw weights in that order
+    (the diagonal of the weight generator on the slice), so ascending;
+    tr_b_sq is sum(b^2).
+
+    The traceless data are exact Fractions, computed from the fields on
+    first read and cached on the slice; equality and hashing ignore them.
+    a_spectrum is the shift b - w/d, tr_a_sq the trace of the squared
+    traceless generator, sum(b^2) - w^2/d, and lambda_min and lambda_next
+    the two lowest distinct entries of a_spectrum (lambda_next None when
+    the slice has a single weight).
     """
 
     k: int
@@ -117,10 +128,27 @@ class GradedSlice:
     dim: int
     total_weight: int
     tr_b_sq: int
-    a_spectrum: tuple[Fraction, ...]
-    tr_a_sq: Fraction
-    lambda_min: Fraction
-    lambda_next: Fraction | None
+
+    def _traceless(self, b: int) -> Fraction:
+        return Fraction(self.dim * b - self.total_weight, self.dim)
+
+    @cached_property
+    def a_spectrum(self) -> tuple[Fraction, ...]:
+        shift = {b: self._traceless(b) for b in set(self.b_spectrum)}  # one per weight
+        return tuple(map(shift.__getitem__, self.b_spectrum))
+
+    @cached_property
+    def tr_a_sq(self) -> Fraction:
+        return Fraction(self.dim * self.tr_b_sq - self.total_weight**2, self.dim)
+
+    @cached_property
+    def lambda_min(self) -> Fraction:
+        return self._traceless(self.b_spectrum[0])
+
+    @cached_property
+    def lambda_next(self) -> Fraction | None:
+        above = bisect_right(self.b_spectrum, self.b_spectrum[0])
+        return self._traceless(self.b_spectrum[above]) if above < self.dim else None
 
 
 @lru_cache(maxsize=None)
@@ -173,21 +201,13 @@ def _next_level(config: TestConfiguration, below: GradedSlice | None) -> GradedS
                     pairs.append((b + eta[i], e))
         pairs.sort()
     b_spectrum = tuple(b for b, _ in pairs)
-    dim, total = len(pairs), sum(b_spectrum)
-    tr_b_sq = sum(b * b for b in b_spectrum)
-    distinct = sorted(set(b_spectrum))
-    shift = {b: Fraction(dim * b - total, dim) for b in distinct}  # one Fraction per weight
     return GradedSlice(
         k=1 if below is None else below.k + 1,
         monomials=tuple(m for _, m in pairs),
         b_spectrum=b_spectrum,
-        dim=dim,
-        total_weight=total,
-        tr_b_sq=tr_b_sq,
-        a_spectrum=tuple(shift[b] for b in b_spectrum),
-        tr_a_sq=Fraction(dim * tr_b_sq - total * total, dim),
-        lambda_min=shift[distinct[0]],
-        lambda_next=shift[distinct[1]] if len(distinct) > 1 else None,
+        dim=len(pairs),
+        total_weight=sum(b_spectrum),
+        tr_b_sq=sum(b * b for b in b_spectrum),
     )
 
 

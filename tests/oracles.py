@@ -6,10 +6,11 @@ rationals applied to the generators themselves (no Groebner step),
 standard-monomial spectra come from divisibility filtering against
 hand-derived initial ideals, whole slices and the spectral-gap slope come
 from scanning every ambient monomial of the degree, series coefficients come
-from exact rational-function division, interpolation uses Lagrange instead
-of Newton differences, chart integrals use radial quadrature instead of
-Monte Carlo, and Chow weights come from fitting the enumerated two-level
-weight ladder instead of the closed form.
+from exact rational-function division, interpolation uses Lagrange or
+Newton's divided differences in rationals instead of integer forward
+differences, chart integrals use radial quadrature instead of Monte Carlo,
+and Chow weights come from fitting the enumerated two-level weight ladder
+instead of the closed form.
 
 The helpers in the last two sections are the exception: they run on the
 package's own code, and live here because only the tests use them.  They
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from kstab.asymptotics import DEGREE_CAP, newton_power_coefficients
+from kstab.asymptotics import DEGREE_CAP
 from kstab.geometry import (
     MCResult,
     _base_weight,
@@ -163,6 +164,34 @@ def series_top_two(
     return f0, f1
 
 
+def newton_rational(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Interpolant coefficients (ascending) by divided differences in rationals.
+
+    Works at any distinct nodes; trailing zero coefficients are dropped,
+    keeping at least one.
+    """
+    m = len(xs)
+    divided = list(ys)
+    for level in range(1, m):
+        for i in range(m - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
+    # expand the Newton form sum_j divided[j] * prod_{i<j}(x - xs[i])
+    coeffs = [Fraction(0)] * m
+    basis = [Fraction(1)] + [Fraction(0)] * (m - 1)
+    for j in range(m):
+        for i in range(j + 1):
+            coeffs[i] += divided[j] * basis[i]
+        if j + 1 < m:
+            new_basis = [Fraction(0)] * m
+            for i in range(j + 1):
+                new_basis[i + 1] += basis[i]
+                new_basis[i] -= xs[j] * basis[i]
+            basis = new_basis
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def lagrange_power_coeffs(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
     """Power-basis coefficients of the Lagrange interpolant, exact."""
     size = len(xs)
@@ -219,7 +248,7 @@ def fit_eventually_polynomial(
             if hi > cap:
                 break
             nodes = list(range(k0, k0 + deg + 1))
-            coeffs = newton_power_coefficients(
+            coeffs = newton_rational(
                 [Fraction(x) for x in nodes], [Fraction(values(x)) for x in nodes]
             )
             if all(

@@ -5,10 +5,12 @@ series division on the closed-form w(k), d(k) pair, and Lagrange
 interpolation of oracle-enumerated per-degree data.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kstab import (
     TestConfiguration,
@@ -18,9 +20,10 @@ from kstab import (
     graded_slice,
     operator_norm_check,
     parse_polynomial,
+    spectrum_table,
 )
 from kstab import spectra
-from kstab.asymptotics import regularity_start
+from kstab.asymptotics import newton_power_coefficients, regularity_start
 
 import oracles
 from oracles import eval_power, fit_eventually_polynomial, futaki_f
@@ -129,6 +132,32 @@ def test_expansions_match_lagrange_enumeration_oracle():
         assert n2 == r.n2_sq
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.one_of(
+        st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=10),
+        st.lists(st.fractions(max_denominator=10**4), min_size=1, max_size=10),
+    ),
+)
+def test_integer_interpolation_matches_the_rational_reference(start, values):
+    nodes = range(start, start + len(values))
+    expected = oracles.newton_rational([Fraction(x) for x in nodes], [Fraction(y) for y in values])
+    got = newton_power_coefficients(nodes, values)
+    assert got == expected
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[2, 2, 3], [1, 3, 4], [3, 2, 1], [Fraction(1, 2), Fraction(3, 2)]],
+    ids=["repeated", "gap", "descending", "half-integers"],
+)
+def test_interpolation_refuses_nodes_that_are_not_consecutive_integers(nodes):
+    with pytest.raises(ValueError, match="nodes must be consecutive integers"):
+        newton_power_coefficients(nodes, [1] * len(nodes))
+
+
 # -- Chow weights -----------------------------------------------------------------
 
 
@@ -189,6 +218,29 @@ def test_slices_match_the_scan_oracle(config):
         got = graded_slice(config, k)
         assert {name: getattr(got, name) for name in expected} == expected, k
     assert graded_slice(config, 9) is cold
+
+
+TRACELESS = ("a_spectrum", "tr_a_sq", "lambda_min", "lambda_next")
+
+
+@pytest.mark.parametrize("config", SLICE_ORACLE_CONFIGS, ids=lambda c: c.name)
+def test_traceless_fields_read_after_the_exact_route_match_the_scan_oracle(config):
+    spectra._levels.cache_clear()
+    report = fit_asymptotics(config)
+    chow_sweep(config, range(1, 6), report)
+    spectrum_table(config, list(range(1, 9)))
+    built = spectra._levels(config)
+    assert len(built) >= 8
+    for sl in built:
+        assert not TRACELESS & vars(sl).keys(), sl.k  # the route computed none of them
+        expected = oracles.scanned_slice(config, sl.k)
+        assert {name: getattr(sl, name) for name in TRACELESS} == {
+            name: expected[name] for name in TRACELESS
+        }, sl.k
+        # a copy of the integer fields alone equals the slice whose cache is filled
+        bare = dataclasses.replace(sl)
+        assert not TRACELESS & vars(bare).keys()
+        assert bare == sl and hash(bare) == hash(sl)
 
 
 @pytest.mark.parametrize("config", CHOW_ORACLE_CONFIGS, ids=lambda c: c.name)
