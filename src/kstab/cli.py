@@ -559,8 +559,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def geometric_t_grid(t_near: float = -0.1, t_far: float = -40.0, steps: int = 25) -> tuple[float, ...]:
     """Geometrically spaced negative times from t_near toward t_far."""
-    if not (t_far < t_near < 0):
-        raise ValueError("need t_far < t_near < 0")
+    if not (t_far < t_near < 0 and math.isfinite(t_far / t_near)):
+        raise ValueError(f"need finite times t_far < t_near < 0, got {t_near}:{t_far}")
     if steps < 2:
         raise ValueError("need at least two grid times")
     ratio = (t_far / t_near) ** (1.0 / (steps - 1))

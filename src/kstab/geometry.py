@@ -15,10 +15,13 @@ The batches run on up to two worker threads and are combined in (chart,
 batch) order, so every result is bit-identical whatever the worker count.
 
 Sections are evaluated on a chart through their exact pullbacks: each
-degree-k monomial m_a(F(u)) and its u-derivatives are expanded once per
+degree-k monomial m_a(F(u)) and its derivative in u are expanded once per
 estimate, in exact arithmetic, over one basis of u-monomials.  A batch then
 costs one scaled power table u^alpha / rho^top (rho = max(1, |u|_inf), so
 every entry is at most 1) and one matrix product with the coefficients.
+The chart's own measure takes the same route: its coordinates are the
+level-1 sections, so the FS weight of the chart and that of its image
+under a section frame come from one folded jet and one density.
 """
 
 from __future__ import annotations
@@ -38,64 +41,29 @@ HERMITIAN_TOL = 1e-12
 PIVOT_FLOOR = 1e-10
 
 
-# -- point evaluation ---------------------------------------------------------
-
-
-def evaluate_batch(poly: Polynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate at a (B, nvars) complex array; returns shape (B,)."""
-    points = np.asarray(points)
-    out = np.zeros(points.shape[0], dtype=complex)
-    for expo, coeff in poly.terms.items():
-        term = np.full(points.shape[0], complex(coeff))
-        for j, e in enumerate(expo):
-            if e:
-                term = term * points[:, j] ** e
-        out += term
-    return out
-
-
-def chart_values(chart: Chart, u: np.ndarray) -> np.ndarray:
-    """Component values at a (B, d) batch; returns (B, m+1)."""
-    return np.stack([evaluate_batch(c, u) for c in chart.components], axis=1)
-
-
-def chart_jacobian(chart: Chart, u: np.ndarray) -> np.ndarray:
-    """Holomorphic derivatives at a (B, d) batch; returns (B, d, m+1)."""
-    rows = [np.stack([evaluate_batch(p, u) for p in row], axis=1) for row in chart.derivatives]
-    return np.stack(rows, axis=1)
-
-
 # -- Fubini-Study density -----------------------------------------------------
 
 
 def fs_density_values(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Pullback FS volume density of a holomorphic map from its jet.
 
-    z has shape (B, N), dz shape (B, d, N); the result is
-    (1/pi^d) det(g) with g_ij = <dz_i,dz_j>/S - <dz_i,z><z,dz_j>/S^2 and
-    S = |z|^2.  Indeterminate points (S = 0) raise.
+    z has shape (N, B) and dz shape (d, N, B), one column per point; the
+    result (B,) is (1/pi^d) det(g) with g_ij = <dz_i,dz_j>/S -
+    <dz_i,z><z,dz_j>/S^2 and S = |z|^2.  Sums run over the short N axis,
+    and S^2 is never formed.  Indeterminate points (S = 0) raise.
     """
-    z, dz = z.T, np.moveaxis(dz, 0, -1)
     S = _squared_norms(z)
     if np.any(S <= 0):
         raise ValueError("indeterminate point: all components vanish")
-    return _fs_density(z, dz, S)
+    mixed = np.einsum("iab,ab->ib", dz, z.conj()) / S
+    g = np.einsum("iab,jab->ijb", dz, dz.conj()) / S - mixed[:, None] * mixed[None].conj()
+    det = g[0, 0].real if len(dz) == 1 else np.linalg.det(np.moveaxis(g, -1, 0)).real
+    return det / math.pi ** len(dz)
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
     """|z_b|^2 of the columns of an (N, B) array."""
     return np.einsum("ab,ab->b", z.real, z.real) + np.einsum("ab,ab->b", z.imag, z.imag)
-
-
-def _fs_density(z: np.ndarray, dz: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """fs_density_values on point-last z (N, B), dz (d, N, B), with S = |z|^2 > 0.
-
-    Sums run over the short N axis, and S^2 is never formed.
-    """
-    mixed = np.einsum("iab,ab->ib", dz, z.conj()) / S
-    g = np.einsum("iab,jab->ijb", dz, dz.conj()) / S - mixed[:, None] * mixed[None].conj()
-    det = g[0, 0].real if len(dz) == 1 else np.linalg.det(np.moveaxis(g, -1, 0)).real
-    return det / math.pi ** len(dz)
 
 
 # -- the sampling law ---------------------------------------------------------
@@ -256,14 +224,6 @@ def mc_charts(
     )
 
 
-def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Importance weight of the chart's own FS measure, plus ambient points."""
-    z = chart_values(chart, u)
-    dz = chart_jacobian(chart, u)
-    dens = fs_density_values(z, dz)
-    return dens / pdf, z
-
-
 # -- monomial frames ----------------------------------------------------------
 
 
@@ -325,7 +285,7 @@ def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBas
 
     Returns the basis of the u-monomials that occur and coeffs (1 + d, D,
     P): the coefficients, over the basis rows, of the pullbacks (index 0)
-    and, when jet is set, of their derivatives by u_1..u_d; otherwise
+    and, when jet is set, of their partials by u_1..u_d (index i); otherwise
     coeffs has the first slice only.
     """
     d = chart.dim
@@ -345,6 +305,36 @@ def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBas
             for alpha, c in p.terms.items():
                 coeffs[g, a, row[alpha]] = float(c)
     return basis, coeffs
+
+
+def _chart_jet(chart: Chart) -> tuple[_PowerBasis, np.ndarray]:
+    """The chart's own jet [F; dF], folded as embedded_mc folds a frame."""
+    basis, C = _pullback(chart, np.eye(chart.ambient_count, dtype=int), jet=True)
+    return basis, np.concatenate(C)
+
+
+def _embedded_points(
+    chart: Chart, basis: _PowerBasis, K: np.ndarray, u: np.ndarray, pdf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Importance weights w (B,), unit points V (B, D) and log|W| (B,) of a batch.
+
+    K is a folded jet: K @ U stacks sections W along the chart over their
+    partials dW, and w weighs the FS volume of the chart's image under W.
+    With _chart_jet that is the chart's own measure, V = z/|z| and log|W| =
+    log|F(u)|.  The 1/rho^top of monomial_jet cancels in the density and is
+    restored in log|W|.
+    """
+    jet, log_scale = monomial_jet(basis, K, u)
+    jet = jet.reshape(1 + chart.dim, -1, len(u))
+    W = jet[0]
+    S = _squared_norms(W)
+    if np.any(S == 0):
+        F = monomial_jet(*_chart_jet(chart), u[S == 0])[0][: chart.ambient_count]
+        if np.all(np.any(F != 0, axis=0)):
+            raise ValueError("embedded point vanished: sections do not span here")
+    dens = fs_density_values(W, jet[1:])  # raises at an indeterminate point
+    W /= np.sqrt(S)
+    return dens / pdf, W.T, 0.5 * np.log(S) + log_scale
 
 
 def _weighted_outer_mean(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -370,21 +360,21 @@ def gram_matrix(
     which is bounded, and the estimate is Hermitian by construction.  On a
     chart m(z/|z|) = (C_0 @ U) rho^top / |F(u)|^k with C_0 the pullbacks
     and U their scaled power table (monomial_jet); the factor is formed in
-    log space.
+    log space.  The weights and log|F(u)| come from the chart's own jet.
     """
     exponents = np.asarray(exponents, dtype=int)
+    own = {chart: _chart_jet(chart) for chart in charts}
     pulled = {chart: _pullback(chart, exponents, jet=False) for chart in charts}
 
     def mean(chart, u, pdf):
-        w, z = _base_weight(chart, u, pdf)
+        w, _, log_norm = _embedded_points(chart, *own[chart], u, pdf)
         basis, coeffs = pulled[chart]
         V, log_scale = monomial_jet(basis, coeffs[0], u)
-        V *= np.exp(log_scale - k * np.log(np.linalg.norm(z, axis=1)))
+        V *= np.exp(log_scale - k * log_norm)
         return _weighted_outer_mean(w, V.T)
 
     result = mc_charts(charts, mean, n_samples, seed)
-    H = hermitian_part(result.value)
-    return H, result
+    return hermitian_part(result.value), result
 
 
 def hermitian_part(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -464,24 +454,15 @@ def embedded_mc(
 
     The frame is folded into the pullbacks once, K = [M C_0; M C_1; ...],
     so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
-    their u-derivatives dW, both scaled by the per-sample 1/rho^top, which
-    cancels in the projective density.
+    their partials dW by u_1..u_d.
     """
     exponents = np.asarray(exponents, dtype=int)
     pulled = {chart: _pullback(chart, exponents, jet=True) for chart in charts}
     folded = {chart: (basis, np.concatenate(gs_matrix @ C)) for chart, (basis, C) in pulled.items()}
 
     def mean(chart, u, pdf):
-        jet = monomial_jet(*folded[chart], u)[0].reshape(1 + chart.dim, -1, len(u))
-        W, dW = jet[0], jet[1:]
-        S = _squared_norms(W)
-        if np.any(S == 0):
-            if np.any(np.all(chart_values(chart, u) == 0, axis=1)):
-                raise ValueError("indeterminate point: all components vanish")
-            raise ValueError("embedded point vanished: sections do not span here")
-        dens = _fs_density(W, dW, S)
-        W /= np.sqrt(S)
-        return reduce(dens / pdf, W.T)
+        w, V, _ = _embedded_points(chart, *folded[chart], u, pdf)
+        return reduce(w, V)
 
     return mc_charts(charts, mean, n_samples, seed)
 
@@ -533,12 +514,12 @@ def n2_integral(
     lam = np.asarray(lambdas, dtype=float)
     if any(chart.ambient_count != len(lam) for chart in charts):
         raise ValueError("diagonal length does not match ambient coordinates")
+    own = {chart: _chart_jet(chart) for chart in charts}
 
     def triple(chart, u, pdf):
         # per-batch (mass, int h, int h^2)
-        w, z = _base_weight(chart, u, pdf)
-        sq = np.abs(z) ** 2
-        h = (sq @ lam) / np.sum(sq, axis=1)
+        w, V, _ = _embedded_points(chart, *own[chart], u, pdf)
+        h = np.abs(V) ** 2 @ lam
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
     seed, n_batches, per_chart = _batch_means(charts, triple, n_samples, seed)

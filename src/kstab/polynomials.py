@@ -251,8 +251,7 @@ class Chart:
     """Polynomial parametrization of one cycle component.
 
     components map C^d -> C^(m+1) and must not vanish simultaneously away
-    from a measure-zero set.  derivatives[i] holds the components
-    differentiated by the i-th parameter.
+    from a measure-zero set.
     """
 
     params: tuple[str, ...]
@@ -269,11 +268,6 @@ class Chart:
         for c in self.components:
             if c.nvars != len(self.params):
                 raise ValueError("component arity does not match chart parameters")
-        derivatives = tuple(
-            tuple(c.differentiate(i) for c in self.components)
-            for i in range(len(self.params))
-        )
-        object.__setattr__(self, "derivatives", derivatives)
 
     @property
     def dim(self) -> int:

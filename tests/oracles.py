@@ -10,15 +10,19 @@ from exact rational-function division, interpolation uses Lagrange or
 Newton's divided differences in rationals instead of integer forward
 differences, chart integrals use radial quadrature instead of Monte Carlo,
 and Chow weights come from fitting the enumerated two-level weight ladder
-instead of the closed form.
+instead of the closed form.  Charts are evaluated directly, term by term
+in floating point (evaluate_batch, chart_values, chart_jacobian), an
+independent reference for the package, which evaluates every chart
+through the exact pullbacks of its sections.
 
 The helpers in the last two sections are the exception: they run on the
 package's own code, and live here because only the tests use them.  They
-are the Fubini-Study mass and integral helpers (fs_volume_density, fs_mass,
-mc_integrate) on the Monte Carlo engine, the Buchberger criterion
-is_groebner_basis on normal_form and s_polynomial, bergman_density on
-monomial_values, and futaki_f with level_comparison, which read the exact
-slices and an existing ray grid.
+are the Fubini-Study mass and integral helpers (_base_weight,
+fs_volume_density, fs_mass, mc_integrate) on the direct chart evaluator,
+the package's density fs_density_values and its Monte Carlo engine, the
+Buchberger criterion is_groebner_basis on normal_form and s_polynomial,
+bergman_density on monomial_values, and futaki_f with level_comparison,
+which read the exact slices and an existing ray grid.
 """
 
 from __future__ import annotations
@@ -32,17 +36,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from kstab.asymptotics import DEGREE_CAP
-from kstab.geometry import (
-    MCResult,
-    _base_weight,
-    chart_jacobian,
-    chart_values,
-    fs_density_values,
-    mc_charts,
-    monomial_values,
-)
+from kstab.geometry import MCResult, fs_density_values, mc_charts, monomial_values
 from kstab.groebner import normal_form, s_polynomial
-from kstab.polynomials import Chart
+from kstab.polynomials import Chart, Polynomial
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
@@ -369,6 +365,36 @@ def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...],
     return mu, fit.coeffs, -c * mu / Fraction(r) ** n - report.F_1
 
 
+# -- direct chart evaluation --------------------------------------------------
+
+
+def evaluate_batch(poly: Polynomial, points: np.ndarray) -> np.ndarray:
+    """Evaluate at a (B, nvars) complex array term by term; returns shape (B,)."""
+    points = np.asarray(points)
+    out = np.zeros(points.shape[0], dtype=complex)
+    for expo, coeff in poly.terms.items():
+        term = np.full(points.shape[0], complex(coeff))
+        for j, e in enumerate(expo):
+            if e:
+                term = term * points[:, j] ** e
+        out += term
+    return out
+
+
+def chart_values(chart: Chart, u: np.ndarray) -> np.ndarray:
+    """Component values at a (B, d) batch; returns (B, m+1)."""
+    return np.stack([evaluate_batch(c, u) for c in chart.components], axis=1)
+
+
+def chart_jacobian(chart: Chart, u: np.ndarray) -> np.ndarray:
+    """Holomorphic derivatives at a (B, d) batch; returns (B, d, m+1)."""
+    rows = [
+        np.stack([evaluate_batch(c.differentiate(i), u) for c in chart.components], axis=1)
+        for i in range(chart.dim)
+    ]
+    return np.stack(rows, axis=1)
+
+
 # -- Fubini-Study masses and integrals on the package's Monte Carlo engine -----
 
 
@@ -377,7 +403,13 @@ def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
-    return fs_density_values(chart_values(chart, u), chart_jacobian(chart, u))
+    z, dz = chart_values(chart, u), chart_jacobian(chart, u)
+    return fs_density_values(z.T, np.moveaxis(dz, 0, -1))
+
+
+def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Importance weight of the chart's own FS measure, plus ambient points (B, m+1)."""
+    return fs_volume_density(chart, u) / pdf, chart_values(chart, u)
 
 
 def fs_mass(charts: Sequence[Chart], n_samples: int, seed) -> MCResult:

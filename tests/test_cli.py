@@ -556,6 +556,15 @@ def test_t_grid_steps_are_capped(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--t-grid" in err and f"steps must be at most {cli.MAX_T_STEPS}" in err
     assert not list(tmp_path.iterdir())
+    # an infinite or NaN end, or a ratio far/near past the float range, would
+    # write -inf times and NaN potentials
+    for spec in ("-0.1:-inf:5", "-inf:-40:5", "nan:-40:5", "-0.1:nan:5", "-1e-300:-1e10:5"):
+        with pytest.raises(ValueError, match="need finite times t_far < t_near < 0"):
+            cli.geometric_t_grid(*map(float, spec.split(":")[:2]), 5)
+        assert run(["ray", str(config_path("product_p1")), f"--t-grid={spec}"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "--t-grid" in err and "need finite times" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_level_above_the_monomial_limit_exits_quickly(tmp_path, capsys):

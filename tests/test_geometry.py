@@ -16,8 +16,7 @@ import pytest
 from kstab import Chart, cli, geometry, parse_polynomial
 from kstab.geometry import (
     BATCH_SIZE,
-    chart_jacobian,
-    chart_values,
+    embedded_mc,
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
@@ -32,7 +31,16 @@ from kstab.rays import chow_weight_numeric
 from kstab.spectra import graded_slice
 
 from conftest import config_path
-from oracles import bergman_density, fs_mass, fs_volume_density, mc_integrate, monomials
+from oracles import (
+    _base_weight,
+    bergman_density,
+    chart_jacobian,
+    chart_values,
+    fs_mass,
+    fs_volume_density,
+    mc_integrate,
+    monomials,
+)
 
 U = ("u",)
 
@@ -44,6 +52,7 @@ def chart(*component_texts, multiplicity=1):
 
 LINE = chart("1", "u")
 CONIC = chart("1", "u", "u^2")
+CUSP = chart("u", "u^2")  # both components vanish at u = 0
 
 
 # -- densities ---------------------------------------------------------------------
@@ -73,13 +82,39 @@ def test_conic_density_matches_quadrature_oracle_pointwise():
 
 
 def test_indeterminate_point_raises():
-    cusp = chart("u", "u^2")  # both components vanish at u = 0
+    # point-last: z is (N, B), dz is (d, N, B)
     with pytest.raises(ValueError, match="indeterminate"):
-        fs_density_values(
-            np.zeros((1, 2), dtype=complex), np.array([[[1.0 + 0j, 0.0 + 0j]]])
-        )
+        fs_density_values(np.zeros((2, 1), dtype=complex), np.array([[[1.0 + 0j], [0.0 + 0j]]]))
     with pytest.raises(ValueError, match="indeterminate"):
-        fs_volume_density(cusp, np.array([[0.0 + 0.0j]]))
+        fs_volume_density(CUSP, np.array([[0.0 + 0.0j]]))
+
+
+def test_engine_names_an_indeterminate_point(monkeypatch):
+    # one draw of each batch lands on u = 0, where the cusp [u : u^2] is undefined
+    draw = geometry._draw_batch
+
+    def with_zero(rng, size, d):
+        u, pdf = draw(rng, size, d)
+        u[17] = 0.0
+        return u, pdf
+
+    monkeypatch.setattr(geometry, "_draw_batch", with_zero)
+    exps = np.array([[2, 0], [1, 1], [0, 2]])
+    runs = (
+        lambda: gram_matrix([CUSP], exps, 2, 8192, 0),
+        lambda: n2_integral([CUSP], [0.5, -0.5], 8192, 0),
+        lambda: moment_matrix([CUSP], np.eye(3), exps, 8192, 0),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="^indeterminate point: all components vanish$"):
+            run()
+
+
+def test_engine_names_a_vanished_embedded_point():
+    # [1 : 0 : u] is defined everywhere, but its one section z_1 vanishes on it
+    line = chart("1", "0", "u")
+    with pytest.raises(ValueError, match="^embedded point vanished: sections do not span here$"):
+        embedded_mc([line], np.eye(1), np.array([[0, 1, 0]]), lambda w, V: np.mean(w), 8192, 0)
 
 
 # -- Monte Carlo engine --------------------------------------------------------------
@@ -247,6 +282,8 @@ def test_failure_cancels_pending_jobs_and_leaves_no_thread(monkeypatch):
 
 
 MOBIUS = chart("1 + u", "1 - u")  # all of P^1 but [1:-1], through no monomial chart
+UV = ("u", "v")
+SURFACE = Chart(UV, tuple(parse_polynomial(c, UV) for c in ("1", "u + v", "u*v - v^2")))
 
 
 def _direct_jet(fiber, exps, u):
@@ -270,13 +307,11 @@ def test_monomial_values_and_jet_exact():
     # the exact pullbacks on a scaled power table, times rho^top, are the
     # monomials at F(u) and their chain-rule derivatives
     u = np.array([[0.0j], [0.3 - 0.2j], [-1.0 + 0j], [2.5 + 4j], [-40 + 15j]])
-    uv = ("u", "v")
-    surface = Chart(uv, tuple(parse_polynomial(c, uv) for c in ("1", "u + v", "u*v - v^2")))
     uv_points = np.column_stack([u[:, 0], [1j, 0.0, 3 - 1j, -0.5, 70 + 2j]])
     for fiber, exps, u in (
         (CONIC, np.array(monomials(3, 4)), u),
         (MOBIUS, np.array(monomials(2, 5)), u),
-        (surface, np.array(monomials(3, 3)), uv_points),
+        (SURFACE, np.array(monomials(3, 3)), uv_points),
     ):
         basis, coeffs = geometry._pullback(fiber, exps, jet=True)
         U, log_scale = geometry.monomial_jet(basis, np.eye(len(basis.exponents)), u)
@@ -356,9 +391,18 @@ LEVEL8_LINE = np.array([[8 - a, a] for a in range(9)])
 LEVEL8_CONIC = np.array([[a, e, 8 - a - e] for e in (0, 1) for a in range(9 - e)])
 
 
-@pytest.mark.parametrize("fiber, exps", [(LINE, LEVEL8_LINE), (CONIC, LEVEL8_CONIC)])
+@pytest.mark.parametrize(
+    "fiber, exps",
+    [
+        (LINE, LEVEL8_LINE),
+        (CONIC, LEVEL8_CONIC),
+        (MOBIUS, LEVEL8_LINE),
+        (SURFACE, np.array(monomials(3, 4))),
+    ],
+)
 def test_gram_accumulation_matches_three_operand_einsum(fiber, exps):
-    # the same draws, accumulated as sum_b w_b m_a(z_b) conj(m_c(z_b)) by einsum
+    # the same draws through the direct evaluator (tests/oracles.py), the
+    # weights and sections accumulated as sum_b w_b m_a(z_b) conj(m_c(z_b)) by einsum
     def einsum_mean(chart, u, pdf):
         w = fs_volume_density(chart, u) / pdf
         z = chart_values(chart, u)
@@ -366,7 +410,7 @@ def test_gram_accumulation_matches_three_operand_einsum(fiber, exps):
         return np.einsum("b,ba,bc->ac", w, m, m.conj()) / len(w)
 
     want = mc_charts([fiber], einsum_mean, 8192, 11).value
-    _, mc = gram_matrix([fiber], exps, 8, 8192, 11)
+    _, mc = gram_matrix([fiber], exps, int(exps[0].sum()), 8192, 11)
     assert mc.value.shape == (len(exps), len(exps))
     assert np.max(np.abs(mc.value - want)) <= 1e-12 * np.max(np.abs(want))
     hermitian_part(mc.value)  # asymmetry within the default HERMITIAN_TOL
@@ -498,6 +542,23 @@ def test_n2_integral_two_lines_cycle():
     out = n2_integral(cyc, lambdas, 30_000, 0)
     target = float(Fraction(5, 24))
     assert abs(out.value - target) <= max(5 * out.stderr, 0.02 * target)
+
+
+def test_n2_integral_matches_the_direct_evaluator_on_the_same_draws():
+    # (mass, int h, int h^2) per batch from the term-by-term chart evaluator
+    lam = np.array([0.5, 0.25, -0.75])
+    cyc = [CONIC, chart("0", "1 + u", "1 - u", multiplicity=2)]
+
+    def triple(chart, u, pdf):
+        w, z = _base_weight(chart, u, pdf)
+        sq = np.abs(z) ** 2
+        h = (sq @ lam) / np.sum(sq, axis=1)
+        return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
+
+    _, _, per_chart = geometry._batch_means(cyc, triple, 20_000, 6)
+    mass, m1, m2 = sum(c.multiplicity * np.mean(rows, axis=0) for c, rows in zip(cyc, per_chart))
+    out = n2_integral(cyc, lam, 20_000, 6)
+    assert out.value == pytest.approx(m2 - m1 * m1 / mass, rel=1e-12, abs=0)
 
 
 def test_n2_integral_shift_invariance():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kstab.geometry import evaluate_batch
 from kstab.polynomials import (
     Polynomial,
     TermOrder,
@@ -19,6 +18,8 @@ from kstab.polynomials import (
     monomials_of_degree,
     parse_polynomial,
 )
+
+from oracles import evaluate_batch
 
 XYZ = ("x", "y", "z")
 
