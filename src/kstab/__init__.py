@@ -14,6 +14,7 @@ chow --numeric.  flat-limit, spectrum, futaki and chow never load them.
 """
 
 import importlib
+import types
 
 from .asymptotics import (
     AsymptoticReport,
@@ -45,45 +46,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AsymptoticReport",
-    "Chart",
-    "ChowReport",
-    "ChowSweep",
-    "EnergyReport",
-    "GSResult",
-    "GradedSlice",
-    "MCResult",
-    "PointGrid",
-    "Polynomial",
-    "RayGrid",
-    "SectionFrame",
-    "TermOrder",
-    "TestConfiguration",
-    "buchberger",
-    "build_ray_grid",
-    "chow_sweep",
-    "chow_weight_algebraic",
-    "chow_weight_numeric",
-    "convexity_report",
-    "energy_derivative",
-    "equivariant_gram_schmidt",
-    "fit_asymptotics",
-    "geometric_t_grid",
-    "gram_matrix",
-    "graded_slice",
-    "grid_points",
-    "initial_ideal",
-    "ma_mass",
-    "moment_matrix",
-    "n2_integral",
-    "normal_form",
-    "operator_norm_check",
-    "parse_polynomial",
-    "section_frame",
-    "slope_report",
-    "spectrum_table",
-    "sup_osc_report",
-]
+# the names imported above (not the submodules) and the lazy numeric names
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if name[0] != "_" and not isinstance(value, types.ModuleType)
+    ]
+    + [name for names in _LAZY.values() for name in names]
+)
 
 __version__ = "0.1.0"

@@ -2,10 +2,13 @@
 
 Commands operate on a JSON test-configuration file and write versioned JSON
 reports (exact rationals as "p/q" strings, floats always next to their
-stderr) plus a grid CSV for the ray commands.  Exit codes: 0 success, 2
-validation error (bad file, bad flags, bad mathematics requested, reports
-that cannot be written), 3 numeric-diagnostic failure (an estimate failed
-its own acceptance gate; the report file is still written).
+stderr) plus a grid CSV for the ray commands.  Each handler returns its
+payload and its ledger of Checks (name, statistic, threshold, passed);
+main writes the ledger into the report as "checks" and alone maps it to
+the exit code.  Exit codes: 0 success, 2 validation error (bad file, bad
+flags, bad mathematics requested, reports that cannot be written), 3 some
+check failed (the report file is still written, and stdout names the
+failed checks).
 
 flat-limit, spectrum, futaki and chow never import NumPy or SciPy; the
 sampling commands (n2, ray, mass, envelope, report, chow --numeric) import
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotics import (
     AsymptoticReport,
@@ -47,6 +50,8 @@ EXIT_NUMERIC = 3
 MIN_SAMPLES = 8192
 # --t-grid times per ray; each adds a row per (point, level) to the CSV
 MAX_T_STEPS = 1000
+# ray.convexity passes when no second divided difference of phi(t;k) is below -CONVEXITY_TOL
+CONVEXITY_TOL = 1e-9
 _AUTO_PARAMS = ("u", "v", "w")
 
 
@@ -189,14 +194,25 @@ def _write_csv(path: Path, grid) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _mc_fields(result) -> dict:
-    return {
-        "stderr": result.stderr if isinstance(result.stderr, float) else None,
-        "n_samples": result.n_samples,
-        "batch_size": result.batch_size,
-        "consistency_ok": result.consistency_ok,
-        "consistency_ratio": result.consistency_ratio,
-    }
+# -- the ledger of checks --------------------------------------------------------
+
+
+class Check(NamedTuple):
+    """One verdict of a report; main exits 3 when any check has not passed."""
+
+    name: str
+    statistic: float | None
+    threshold: float | None
+    passed: bool
+
+
+def _at_most(name: str, statistic: float, threshold: float) -> Check:
+    return Check(name, statistic, threshold, statistic <= threshold)
+
+
+def _consistency(name: str, result) -> Check:
+    """The Monte Carlo quarter-vs-full check: its ratio must stay at most 1."""
+    return _at_most(f"{name}.consistency", result.consistency_ratio, 1.0)
 
 
 # -- command implementations ---------------------------------------------------
@@ -233,7 +249,7 @@ def _poly_strings(config: TestConfiguration, polys) -> list[str]:
     return [g.to_string(config.variables, config.order) for g in polys]
 
 
-def _cmd_flat_limit(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_flat_limit(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     config = inputs.config
     basis = config.groebner_basis
     return (
@@ -242,11 +258,11 @@ def _cmd_flat_limit(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]
             "initial_ideal": _poly_strings(config, initial_ideal(basis, config.order)),
             "initial_leads": [list(e) for e in config.initial_leads],
         },
-        EXIT_OK,
+        [],
     )
 
 
-def _cmd_spectrum(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_spectrum(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     ks = run.k or tuple(range(1, (run.kmax or 8) + 1))
     rows = []
     for k in ks:
@@ -263,11 +279,12 @@ def _cmd_spectrum(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
                 "lambda_next": sl.lambda_next,
             }
         )
-    return {"slices": rows}, EXIT_OK
+    return {"slices": rows}, []
 
 
-def _futaki_payload(report) -> dict:
-    return {
+def _cmd_futaki(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
+    report = inputs.fit
+    payload = {
         "n": report.n,
         "a_n": report.a_n,
         "degree": report.degree_volume,
@@ -281,13 +298,10 @@ def _futaki_payload(report) -> dict:
         "Gamma": report.Gamma,
         "trivial_action": report.trivial_action,
     }
+    return payload, []
 
 
-def _cmd_futaki(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
-    return _futaki_payload(inputs.fit), EXIT_OK
-
-
-def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     config, report = inputs.config, inputs.fit
     rs = run.r or tuple(range(1, 11))
     sweep = chow_sweep(config, rs, report)
@@ -306,7 +320,7 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
         "decay_ok": sweep.decay_ok,
         "operator_norm": operator_norm_check(config, 30, report),
     }
-    code = EXIT_OK
+    checks = []
     if run.numeric:
         if not inputs.cycle:
             raise ConfigError(
@@ -322,7 +336,6 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
             exact = chow_weight_algebraic(config, k, report).mu
             scale = max(abs(float(exact)), 1.0)
             rel = abs(numeric.value - float(exact)) / scale
-            ok = rel <= run.tol_chow and numeric.consistency_ok
             payload["numeric"].append(
                 {
                     "k": k,
@@ -330,15 +343,16 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
                     "stderr": numeric.stderr,
                     "exact_mu": exact,
                     "rel_error": rel,
-                    "consistency_ok": numeric.consistency_ok,
-                    "pass": ok,
                     "seed": run.seed,
                     "samples": run.samples,
                 }
             )
-            if not ok:
-                code = EXIT_NUMERIC
-    return payload, code
+            name = f"chow.numeric[k={k}]"
+            checks += [
+                _at_most(f"{name}.rel_error", rel, run.tol_chow),
+                _consistency(name, numeric),
+            ]
+    return payload, checks
 
 
 def _ambient_lambda(config: TestConfiguration) -> list[float]:
@@ -355,7 +369,7 @@ def _ambient_lambda(config: TestConfiguration) -> list[float]:
     return lam
 
 
-def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     if not inputs.cycle:
         raise ConfigError("n2 needs a 'cycle' section describing the flat limit")
     from .geometry import n2_integral
@@ -365,18 +379,23 @@ def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
     exact = inputs.fit.n2_sq
     scale = abs(float(exact)) or 1.0
     rel = abs(result.value - float(exact)) / scale
-    ok = rel <= run.tol_n2 and result.consistency_ok
+    checks = [_at_most("n2.rel_error", rel, run.tol_n2), _consistency("n2", result)]
     payload = {
         "a_1_diagonal": lam,
         "exact_n2_sq": exact,
         "numeric_n2_sq": result.value,
         "rel_error": rel,
-        "pass": ok,
+        "pass": all(c.passed for c in checks),
         "seed": run.seed,
         "samples": run.samples,
-        "mc": _mc_fields(result),
+        "mc": {
+            "stderr": result.stderr,
+            "n_samples": result.n_samples,
+            "batch_size": result.batch_size,
+            "consistency_ratio": result.consistency_ratio,
+        },
     }
-    return payload, EXIT_OK if ok else EXIT_NUMERIC
+    return payload, checks
 
 
 def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)):
@@ -406,51 +425,55 @@ def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)
     return frames, grid, payload
 
 
-def _cmd_ray(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, object]:
+def _cmd_ray(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check], object]:
     from .rays import convexity_report, slope_report, sup_osc_report
 
     frames, grid, payload = _ray_machinery(run, inputs)
     slopes = slope_report(grid)
-    convexity = convexity_report(grid)
+    convexity = convexity_report(grid, CONVEXITY_TOL)
+    gram = [_consistency(f"ray.gram[k={f.k}]", f.gram_mc) for f in frames]
     payload.update(
-        gram_consistency_ok=all(f.gram_mc.consistency_ok for f in frames),
+        gram_consistency_ok=all(c.passed for c in gram),
         slope_check=slopes,
         convexity_check=convexity,
         sup_osc=sup_osc_report(grid),
     )
-    ok = slopes["ok"] and convexity["ok"] and payload["gram_consistency_ok"]
-    return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
+    checks = gram + [
+        Check("ray.slope", slopes["max_excess"], 0.0, slopes["ok"]),
+        Check("ray.convexity", -convexity["min_gap"], CONVEXITY_TOL, convexity["ok"]),
+    ]
+    return payload, checks, grid
 
 
-def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int, object]:
+def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check], object]:
     ks = run.k or (4, 8, 16)
     if len(ks) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
     _, grid, payload = _ray_machinery(run, inputs, ks)
     near = grid.t_grid.index(max(grid.t_grid))
-    ok = grid.strict_decrease and grid.boundary_continuity <= run.tol_boundary
     payload.update(
-        strict_decrease=grid.strict_decrease,
         boundary_continuity=grid.boundary_continuity,
-        boundary_tolerance=run.tol_boundary,
         attaining_near_boundary=sorted({int(k) for k in grid.attaining[near]}),
     )
-    payload["pass"] = ok
-    return payload, EXIT_OK if ok else EXIT_NUMERIC, grid
+    checks = [
+        Check("envelope.strict_decrease", None, None, grid.strict_decrease),
+        _at_most("envelope.boundary_continuity", grid.boundary_continuity, run.tol_boundary),
+    ]
+    return payload, checks, grid
 
 
-def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     if not inputs.fiber:
         raise ConfigError("mass needs a 'fiber' section parametrizing the variety")
     from .rays import ma_mass
 
     ks = run.k or tuple(range(2, 13))
     rows = []
-    masses = []
-    positive = consistent = True
+    checks = []
     for k in ks:
         frame = inputs.frame(k, run.samples, run.seed)
         er = ma_mass(inputs.config, inputs.fiber, frame, inputs.fit, run.samples, run.seed)
+        consistency = _consistency(f"mass[k={k}]", er.moment_mc)
         rows.append(
             {
                 "k": k,
@@ -459,51 +482,48 @@ def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
                 "mass": er.mass,
                 "mass_stderr": er.mass_stderr,
                 "mass_times_k": er.mass_times_k,
-                "consistency_ok": er.moment_mc.consistency_ok,
+                "consistency_ok": consistency.passed,
             }
         )
-        masses.append(er)
-        positive = positive and er.mass >= -5.0 * er.mass_stderr
-        consistent = consistent and er.moment_mc.consistency_ok
-    scaled = sorted(er.mass_times_k for er in masses)
+        checks += [
+            consistency,
+            _at_most(f"mass[k={k}].positivity", -er.mass, 5.0 * er.mass_stderr),
+        ]
+    scaled = sorted(row["mass_times_k"] for row in rows)
     median = scaled[len(scaled) // 2]
-    bounded = max(scaled) <= 2.0 * max(median, 1e-12) or max(scaled) <= 1e-9
+    bounded = _at_most("mass.bounded", max(scaled), max(2.0 * max(median, 1e-12), 1e-9))
     payload = {
         "rows": rows,
         "max_mass_times_k": max(scaled),
         "median_mass_times_k": median,
-        "bounded_ok": bounded,
-        "positivity_ok": positive,
-        "consistency_ok": consistent,
+        "bounded_ok": bounded.passed,
         "seed": run.seed,
         "samples": run.samples,
     }
-    good = positive and consistent and bounded
-    return payload, EXIT_OK if good else EXIT_NUMERIC
+    return payload, checks + [bounded]
 
 
-def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, int]:
+def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
+    """The exact commands plus chow, n2, mass and ray; their checks concatenated."""
     payload: dict = {}
-    code = EXIT_OK
     payload["flat_limit"], _ = _cmd_flat_limit(run, inputs)
     payload["futaki"], _ = _cmd_futaki(run, inputs)
     sub = argparse.Namespace(**{**vars(run), "r": run.r or tuple(range(1, 6))})
-    payload["chow"], c = _cmd_chow(sub, inputs)
-    code = max(code, c)
+    payload["chow"], checks = _cmd_chow(sub, inputs)
     if inputs.cycle:
         payload["n2"], c = _cmd_n2(run, inputs)
-        code = max(code, c)
+        checks += c
     if inputs.fiber:
         sub = argparse.Namespace(**{**vars(run), "k": run.k or (2, 3, 4, 6)})
         payload["mass"], c = _cmd_mass(sub, inputs)
-        code = max(code, c)
+        checks += c
         sub = argparse.Namespace(**{**vars(run), "k": run.k or (4, 8, 16)})
         payload["ray"], c, _ = _cmd_ray(sub, inputs)
-        code = max(code, c)
-    return payload, code
+        checks += c
+    return payload, checks
 
 
-# command name -> handler(run, inputs) returning (payload, exit code[, ray grid])
+# command name -> handler(run, inputs) returning (payload, checks[, ray grid])
 HANDLERS = {
     "flat-limit": _cmd_flat_limit,
     "spectrum": _cmd_spectrum,
@@ -619,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
             run.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"{unwritable}: {exc}") from exc
-        payload, code, *grid = HANDLERS[run.command](run, inputs)
+        payload, checks, *grid = HANDLERS[run.command](run, inputs)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -630,6 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         "name": config.name,
         "weights": list(config.weights),
         **payload,
+        "checks": [check._asdict() for check in checks],
     }
     stem = f"{config.name}_{run.command.replace('-', '_')}"
     json_path = run.out / f"{stem}.json"
@@ -643,9 +664,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {unwritable}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    status = "ok" if code == EXIT_OK else "DIAGNOSTIC FAILURE"
+    failed = [check.name for check in checks if not check.passed]
+    status = f"failed {', '.join(failed)}" if failed else "ok"
     print(f"{config.name} {run.command}: {status}; wrote {', '.join(written)}")
-    return code
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Monte Carlo integration draws chart parameters from the Fubini-Study law
 itself, which keeps importance weights bounded for polynomial charts.  Every
 estimate runs through one batch loop, so it is a deterministic function of
 (seed, sample count): fixed batch size, one generator substream per (chart,
-batch), pairwise-tree reduction, and a quarter-vs-full consistency check.
+batch), pairwise-tree reduction, and a quarter-vs-full consistency ratio.
 The batches run on up to two worker threads and are combined in (chart,
 batch) order, so every result is bit-identical whatever the worker count.
 
@@ -85,9 +85,10 @@ def _draw_batch(rng: np.random.Generator, size: int, d: int) -> tuple[np.ndarray
 class MCResult:
     """A seeded Monte Carlo estimate with its reproducibility contract.
 
-    value/stderr are floats or arrays of the integrand shape.  consistency
-    compares the first quarter of the batches against the full run; the
-    ratio is max |difference| / (5 stderr) and must stay at most 1.
+    value/stderr are floats or arrays of the integrand shape.
+    consistency_ratio compares the first quarter of the batches against the
+    full run: max |difference| / (5 stderr) over the entries.  The CLI's
+    ledger of checks holds the threshold it must stay under.
     """
 
     value: object
@@ -95,7 +96,6 @@ class MCResult:
     n_samples: int
     batch_size: int
     seed: tuple[int, ...]
-    consistency_ok: bool
     consistency_ratio: float
 
 
@@ -189,7 +189,6 @@ def _mc_result(value, stderr, quarter, seed: tuple[int, ...], n_batches: int) ->
         n_samples=n_batches * BATCH_SIZE,
         batch_size=BATCH_SIZE,
         seed=seed,
-        consistency_ok=ratio <= 1.0,
         consistency_ratio=ratio,
     )
 
@@ -291,6 +290,11 @@ def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBas
     d = chart.dim
     values = []
     for row in exponents:
+        if len(row) != chart.ambient_count:
+            raise ValueError(
+                f"exponent row {row.tolist()} has {len(row)} entries for "
+                f"{chart.ambient_count} chart components"
+            )
         p = Polynomial.constant(d, 1)
         for component, e in zip(chart.components, row):
             for _ in range(e):
@@ -363,6 +367,9 @@ def gram_matrix(
     log space.  The weights and log|F(u)| come from the chart's own jet.
     """
     exponents = np.asarray(exponents, dtype=int)
+    for row in exponents:
+        if row.sum() != k:
+            raise ValueError(f"exponent row {row.tolist()} does not have degree k = {k}")
     own = {chart: _chart_jet(chart) for chart in charts}
     pulled = {chart: _pullback(chart, exponents, jet=False) for chart in charts}
 

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, report files, determinism, diagnostics."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -25,6 +26,14 @@ def run(args, out):
 
 def load(out, stem):
     return json.loads((out / f"{stem}.json").read_text())
+
+
+def failed(payload):
+    return [check["name"] for check in payload["checks"] if not check["passed"]]
+
+
+def check_names(payload):
+    return [check["name"] for check in payload["checks"]]
 
 
 # -- happy paths -------------------------------------------------------------------
@@ -98,11 +107,18 @@ def test_chow_payload(tmp_path):
 
 def test_chow_numeric_runs_every_level(tmp_path):
     code = run(["chow", DL, "--numeric", "--k", "1,2", "--samples", "8192"], tmp_path)
-    rows = load(tmp_path, "conic_double_line_chow")["numeric"]
+    payload = load(tmp_path, "conic_double_line_chow")
+    rows = payload["numeric"]
     assert [row["k"] for row in rows] == [1, 2]
     assert [row["exact_mu"] for row in rows] == ["2/3", "8/5"]
-    # the exit code is the worst row's
-    assert code == (0 if all(row["pass"] for row in rows) else 3)
+    assert check_names(payload) == [
+        "chow.numeric[k=1].rel_error",
+        "chow.numeric[k=1].consistency",
+        "chow.numeric[k=2].rel_error",
+        "chow.numeric[k=2].consistency",
+    ]
+    # the exit code is 3 exactly when some level fails a check
+    assert code == (3 if failed(payload) else 0)
 
 
 @pytest.mark.parametrize(
@@ -110,18 +126,18 @@ def test_chow_numeric_runs_every_level(tmp_path):
 )
 def test_chow_numeric_passes_with_default_flags(tmp_path, name):
     assert run(["chow", str(config_path(name)), "--numeric"], tmp_path) == 0
-    (row,) = load(tmp_path, f"{name}_chow")["numeric"]
-    assert sorted(row) == [
-        "consistency_ok",
-        "exact_mu",
-        "k",
-        "pass",
-        "rel_error",
-        "samples",
-        "seed",
-        "stderr",
-        "value",
-    ]
+    payload = load(tmp_path, f"{name}_chow")
+    (row,) = payload["numeric"]
+    assert sorted(row) == ["exact_mu", "k", "rel_error", "samples", "seed", "stderr", "value"]
+    rel_error, consistency = payload["checks"]
+    assert rel_error == {
+        "name": "chow.numeric[k=1].rel_error",
+        "statistic": row["rel_error"],
+        "threshold": 0.05,
+        "passed": True,
+    }
+    assert consistency["name"] == "chow.numeric[k=1].consistency"
+    assert consistency["threshold"] == 1.0 and consistency["passed"] is True
 
 
 def test_n2_cross_check(tmp_path):
@@ -130,6 +146,9 @@ def test_n2_cross_check(tmp_path):
     assert payload["exact_n2_sq"] == "1/6"
     assert payload["pass"] is True
     assert payload["rel_error"] <= 0.02
+    assert check_names(payload) == ["n2.rel_error", "n2.consistency"]
+    assert failed(payload) == []
+    assert "consistency_ok" not in payload["mc"]
     assert payload["seed"] == 3
     assert payload["samples"] == 20000
 
@@ -138,9 +157,16 @@ def test_mass_payload(tmp_path):
     code = run(["mass", DL, "--k", "2,3", "--samples", "20000"], tmp_path)
     payload = load(tmp_path, "conic_double_line_mass")
     assert code == 0
-    assert payload["positivity_ok"] is True
-    assert payload["consistency_ok"] is True
+    assert check_names(payload) == [
+        "mass[k=2].consistency",
+        "mass[k=2].positivity",
+        "mass[k=3].consistency",
+        "mass[k=3].positivity",
+        "mass.bounded",
+    ]
+    assert failed(payload) == []
     assert payload["bounded_ok"] is True
+    assert "positivity_ok" not in payload and "consistency_ok" not in payload
     assert [row["k"] for row in payload["rows"]] == [2, 3]
 
 
@@ -150,15 +176,15 @@ def test_mass_consistency_failure_is_not_a_positivity_failure(tmp_path, monkeypa
     def inconsistent(*args):
         er = real(*args)
         return dataclasses.replace(
-            er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ok=False)
+            er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ratio=2.0)
         )
 
     monkeypatch.setattr(rays, "ma_mass", inconsistent)
     code = run(["mass", DL, "--k", "2,3", "--samples", "20000"], tmp_path)
     payload = load(tmp_path, "conic_double_line_mass")
     assert code == 3
-    assert payload["positivity_ok"] is True
-    assert payload["consistency_ok"] is False
+    assert failed(payload) == ["mass[k=2].consistency", "mass[k=3].consistency"]
+    assert [row["consistency_ok"] for row in payload["rows"]] == [False, False]
 
 
 def test_ray_writes_json_and_csv(tmp_path):
@@ -202,9 +228,16 @@ def test_envelope_reports_honest_boundary_failure(tmp_path):
     code = run(["envelope", DL, "--samples", "20000"], tmp_path)
     assert code == 3
     payload = load(tmp_path, "conic_double_line_envelope")
-    assert payload["strict_decrease"] is True
-    assert payload["pass"] is False
-    assert payload["boundary_continuity"] > payload["boundary_tolerance"]
+    strict, boundary = payload["checks"]
+    assert strict == {
+        "name": "envelope.strict_decrease",
+        "statistic": None,
+        "threshold": None,
+        "passed": True,
+    }
+    assert failed(payload) == ["envelope.boundary_continuity"]
+    assert boundary["statistic"] == payload["boundary_continuity"]
+    assert boundary["statistic"] > boundary["threshold"] == 0.05
     assert payload["attaining_near_boundary"] == [4]
 
 
@@ -215,6 +248,121 @@ def test_report_command_trivial(tmp_path):
     assert payload["futaki"]["F_1"] == "0"
     assert payload["futaki"]["trivial_action"] is True
     assert payload["n2"]["pass"] is True
+    assert failed(payload) == []
+
+
+def _patched(module, name, change):
+    """monkeypatch.setattr arguments wrapping module.name so change edits each result."""
+    real = getattr(module, name)
+    return module, name, lambda *args: change(real(*args))
+
+
+def _inconsistent(result):
+    return dataclasses.replace(result, consistency_ratio=2.0)
+
+
+def _at_level(k, **changes):
+    """Replace fields of the results whose level is k; leave the others alone."""
+    return lambda result: dataclasses.replace(result, **changes) if result.k == k else result
+
+
+def _mc_at_level(k, field):
+    return lambda result: (
+        dataclasses.replace(result, **{field: _inconsistent(getattr(result, field))})
+        if result.k == k
+        else result
+    )
+
+
+MASS = ["mass", DL, "--k", "2,3,4", "--samples", "20000"]
+RAY = ["ray", DL, "--k", "2,4", "--samples", "10000", "--t-grid=-0.5:-30:8"]
+ENVELOPE = ["envelope", DL, "--k", "2,3,4", "--samples", "10000"]
+N2 = ["n2", DL, "--samples", "8192"]
+CHOW = ["chow", DL, "--numeric", "--samples", "8192"]
+# each case makes one check fail alone, by a zero tolerance or a patched
+# statistic; unpatched, each of these runs passes every check
+FAULTS = {
+    "n2.rel_error": (N2 + ["--tol-n2", "0"], None),
+    "n2.consistency": (N2, _patched(geometry, "n2_integral", _inconsistent)),
+    "chow.numeric[k=1].rel_error": (CHOW + ["--tol-chow", "0"], None),
+    "chow.numeric[k=1].consistency": (
+        CHOW,
+        _patched(rays, "chow_weight_numeric", _inconsistent),
+    ),
+    "mass[k=3].consistency": (MASS, _patched(rays, "ma_mass", _mc_at_level(3, "moment_mc"))),
+    "mass[k=3].positivity": (MASS, _patched(rays, "ma_mass", _at_level(3, mass=-1.0))),
+    "mass.bounded": (MASS, _patched(rays, "ma_mass", _at_level(3, mass_times_k=1e3))),
+    "ray.gram[k=4].consistency": (
+        RAY,
+        _patched(rays, "section_frame", _mc_at_level(4, "gram_mc")),
+    ),
+    "ray.slope": (RAY, (rays, "slope_report", lambda grid: {"max_excess": 1.0, "ok": False})),
+    "ray.convexity": (
+        RAY,
+        (rays, "convexity_report", lambda grid, tol: {"min_gap": -1.0, "ok": False}),
+    ),
+    "envelope.boundary_continuity": (ENVELOPE + ["--tol-boundary", "0"], None),
+    "envelope.strict_decrease": (
+        ENVELOPE + ["--tol-boundary", "10"],
+        _patched(
+            rays, "build_ray_grid", lambda grid: dataclasses.replace(grid, strict_decrease=False)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_each_check_fails_alone_and_is_named(tmp_path, capsys, monkeypatch, name):
+    args, patch = FAULTS[name]
+    if patch:
+        monkeypatch.setattr(*patch)
+    assert run(args, tmp_path) == 3
+    (report,) = tmp_path.glob("*.json")
+    payload = json.loads(report.read_text())
+    assert failed(payload) == [name]
+    assert f": failed {name}; wrote " in capsys.readouterr().out
+
+
+def test_report_checks_are_its_subcommands_checks(tmp_path):
+    run_args = cli.build_parser().parse_args(
+        ["report", DL, "--numeric", "--samples", "8192", "--out", str(tmp_path)]
+    )
+    inputs = cli.Inputs(*cli.load_configuration(run_args.config))
+
+    def sub(**changes):
+        return argparse.Namespace(**{**vars(run_args), **changes})
+
+    _, checks = cli._cmd_report(run_args, inputs)
+    assert checks == (
+        cli._cmd_chow(sub(r=(1, 2, 3, 4, 5)), inputs)[1]
+        + cli._cmd_n2(run_args, inputs)[1]
+        + cli._cmd_mass(sub(k=(2, 3, 4, 6)), inputs)[1]
+        + cli._cmd_ray(sub(k=(4, 8, 16)), inputs)[1]
+    )
+    assert [c.name for c in checks][:4] == [
+        "chow.numeric[k=1].rel_error",
+        "chow.numeric[k=1].consistency",
+        "n2.rel_error",
+        "n2.consistency",
+    ]
+    assert [c.name for c in checks][-5:] == [
+        "ray.gram[k=4].consistency",
+        "ray.gram[k=8].consistency",
+        "ray.gram[k=16].consistency",
+        "ray.slope",
+        "ray.convexity",
+    ]
+    # main writes the same ledger into the report
+    assert cli.main(["report", DL, "--numeric", "--samples", "8192", "--out", str(tmp_path)]) == 0
+    assert load(tmp_path, "conic_double_line_report")["checks"] == [
+        json.loads(json.dumps(c._asdict())) for c in checks
+    ]
+
+
+@pytest.mark.parametrize("command", ["flat-limit", "spectrum", "futaki", "chow"])
+def test_exact_commands_write_an_empty_ledger(tmp_path, command):
+    assert run([command, DL], tmp_path) == 0
+    assert load(tmp_path, f"conic_double_line_{command.replace('-', '_')}")["checks"] == []
 
 
 def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):

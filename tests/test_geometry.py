@@ -124,7 +124,7 @@ def test_line_mass_is_exact_under_fs_sampling():
     out = fs_mass([LINE], 20_000, 0)
     assert out.value == pytest.approx(1.0, abs=1e-12)
     assert out.stderr < 1e-14
-    assert out.consistency_ok
+    assert out.consistency_ratio <= 1.0
 
 
 def test_conic_mass_matches_degree_and_oracle():
@@ -361,6 +361,17 @@ def test_gram_diagonal_beta_law():
         )
         assert abs(G[a, a].real - exact) <= 5 * mc.stderr[a, a] + 1e-9
         assert abs(exact - quadrature) < 1e-8
+
+
+def test_gram_rejects_exponent_rows_that_do_not_fit():
+    # a row longer than the chart had its extra columns dropped, and a row of
+    # the wrong degree gave a wrong Gram matrix (0.5 on the diagonal)
+    with pytest.raises(ValueError, match=r"exponent row \[1, 0, 5\]"):
+        gram_matrix([LINE], [[1, 0, 5], [0, 1, 7]], 1, 8192, 0)
+    with pytest.raises(ValueError, match=r"exponent row \[2, 0\] does not have degree k = 1"):
+        gram_matrix([LINE], [[2, 0], [1, 1]], 1, 8192, 0)
+    with pytest.raises(ValueError, match=r"exponent row \[1, 0, 0\] has 3 entries for 2 chart"):
+        embedded_mc([LINE], np.eye(1), [[1, 0, 0]], lambda w, V: np.mean(w), 8192, 0)
 
 
 def test_gram_reparametrized_line_matches_beta_law():

@@ -83,7 +83,7 @@ def test_section_frame_structure(dl_frames, double_line):
     assert len(frame.lambdas) == 2 * k + 1
     # lambdas are the traceless shift of the b-weights
     assert np.allclose(np.sum(frame.lambdas), 0.0, atol=1e-9)
-    assert frame.gram_mc.consistency_ok
+    assert frame.gram_mc.consistency_ratio <= 1.0
     assert frame.lambda_min == pytest.approx(-(k * k) / (2 * k + 1))
 
 
@@ -243,7 +243,7 @@ def test_chow_weight_numeric_reads_the_exact_weight(request, fixture, k):
     numeric = chow_weight_numeric(config, cycle, k, report.n, SAMPLES, SEED)
     exact = float(chow_weight_algebraic(config, k, report).mu)
     assert abs(numeric.value - exact) <= 4 * numeric.stderr
-    assert numeric.consistency_ok
+    assert numeric.consistency_ratio <= 1.0
 
 
 def test_chow_weight_numeric_on_a_surface():
