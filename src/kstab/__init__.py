@@ -31,8 +31,8 @@ from .spectra import GradedSlice, TestConfiguration, graded_slice, spectrum_tabl
 
 # submodule -> the names it defines, imported on first access (PEP 562)
 _LAZY = {
-    "geometry": "GSResult MCResult energy_derivative equivariant_gram_schmidt gram_matrix"
-    " moment_matrix n2_integral".split(),
+    "geometry": "MCResult energy_derivative equivariant_gram_schmidt gram_matrix moment_matrix"
+    " n2_integral".split(),
     "rays": "EnergyReport PointGrid RayGrid SectionFrame build_ray_grid chow_weight_numeric"
     " convexity_report grid_points ma_mass section_frame slope_report sup_osc_report".split(),
     "cli": ["geometric_t_grid"],

@@ -27,8 +27,6 @@ from typing import Sequence
 
 from .spectra import TestConfiguration, graded_slice
 
-DEGREE_CAP = 64
-
 
 def newton_power_coefficients(
     xs: Sequence[int], ys: Sequence[int | Fraction]
@@ -129,8 +127,8 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
     From k0 = regularity_start(config) on, the three are polynomials of
     degree at most N-1, N and N+1 (N the number of variables), so
     interpolation on the N+2 nodes k0..k0+N+1 gives them exactly and needs
-    no further check; n is the degree of D.  Raises before building any
-    level when the last node passes DEGREE_CAP.
+    no further check; n is the degree of D.  The last node is read first,
+    so a fit past graded_slice's limit raises before any level is built.
 
     The slope limits are read from the initial leads.  Call x_j free when
     no lead is a pure power of it, so that x_j^k is standard at every k.
@@ -165,12 +163,7 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
     nvars = len(config.variables)
     k0 = regularity_start(config)
     k_edge = k0 + nvars + 1
-    if k_edge > DEGREE_CAP:
-        raise ValueError(
-            f"the initial leads' lcm puts the proven start of the Hilbert data at "
-            f"k = {k0}, so the fit needs levels up to {k_edge}, past the cap "
-            f"k = {DEGREE_CAP}"
-        )
+    graded_slice(config, k_edge)  # the limit refuses the last node before any level is built
     nodes = range(k0, k_edge + 1)
     slices = [graded_slice(config, k) for k in nodes]
     d_coeffs, w_coeffs, trb2_coeffs = (
@@ -224,18 +217,12 @@ def fit_asymptotics(config: TestConfiguration) -> AsymptoticReport:
 class ChowReport:
     """Chow weight of the level-r image cycle with its Futaki residual.
 
-    tilde_w_coeffs lists, ascending and with trailing zeros stripped, the
-    coefficients of the ladder p -> W(rp)*r*d_r - w(r)*(rp)*D(rp), where
-    D(k) = sum a_i k^i and W(k) = sum b_i k^i are the Hilbert and weight
-    polynomials and d_r, w(r) the exact level-r values.  Its p^i
-    coefficient is c_i = r^i (r d_r b_i - w(r) a_(i-1)), a polynomial of
-    degree <= n+1 in p.  mu is (n+1)! c_(n+1) / (r d_r).  futaki_residual is
+    mu is the Chow weight (`chow_weight_algebraic`) and futaki_residual is
     -c_X_omega * mu / r^n - F_1, which tends to 0 as r grows.
     """
 
     r: int
     mu: Fraction
-    tilde_w_coeffs: tuple[Fraction, ...]
     c_X_omega: Fraction
     futaki_residual: Fraction
 
@@ -268,21 +255,15 @@ def chow_weight_algebraic(
     n = report.n
     sl = graded_slice(config, r)
     d_r, w_r = sl.dim, sl.total_weight
-    # the ladder over the fitted polynomials' common denominator den:
-    # den * c_i = r^i (r d_r B_i - w(r) A_(i-1)) with A = den * a, B = den * b
-    den = lcm(*(c.denominator for c in report.hilbert_coeffs + report.weight_coeffs))
-    a_prev = [0] + [c.numerator * (den // c.denominator) for c in report.hilbert_coeffs]
-    b = [c.numerator * (den // c.denominator) for c in report.weight_coeffs]
-    b += [0] * (n + 2 - len(b))
-    tilde = [r**i * (r * d_r * b[i] - w_r * a_prev[i]) for i in range(n + 2)]
-    mu = Fraction(factorial(n + 1) * tilde[n + 1], den * r * d_r)
-    while len(tilde) > 1 and tilde[-1] == 0:
-        tilde.pop()
+    # mu over the denominators of a_n = p/q and b_(n+1) = s/t, in integers
+    p, q = report.a_n.as_integer_ratio()
+    coeffs = report.weight_coeffs
+    s, t = coeffs[n + 1].as_integer_ratio() if n + 1 < len(coeffs) else (0, 1)
+    mu = Fraction(factorial(n + 1) * r**n * (r * d_r * s * q - w_r * p * t), q * t * d_r)
     c = 1 / (report.a_n * factorial(n + 1))
     return ChowReport(
         r=r,
         mu=mu,
-        tilde_w_coeffs=tuple(Fraction(t, den) for t in tilde),
         c_X_omega=c,
         futaki_residual=-c * mu / r**n - report.F_1,
     )

@@ -36,7 +36,7 @@ from .asymptotics import (
 )
 from .groebner import initial_ideal
 from .polynomials import NAME, Chart, parse_polynomial
-from .spectra import TestConfiguration, graded_slice
+from .spectra import TestConfiguration, graded_slice, top_level
 
 if TYPE_CHECKING:
     from .rays import SectionFrame
@@ -318,7 +318,9 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
         ],
         "fitted_C": sweep.fitted_C,
         "decay_ok": sweep.decay_ok,
-        "operator_norm": operator_norm_check(config, 30, report),
+        "operator_norm": operator_norm_check(
+            config, min(30, top_level(len(config.variables))), report
+        ),
     }
     checks = []
     if run.numeric:

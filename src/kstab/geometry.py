@@ -396,29 +396,16 @@ def hermitian_part(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray
 # -- equivariant orthonormalization -------------------------------------------
 
 
-@dataclass(frozen=True)
-class GSResult:
-    """Weight-compatible orthonormalization M with M G M* = I.
-
-    blocks lists (weight, size) in ascending weight order; matrix is
-    lower triangular (hence block-lower-triangular for any grouping) with
-    positive real diagonal, which pins the result uniquely per block up to
-    the residual block-unitary freedom of the problem itself.
-    """
-
-    blocks: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-
-def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
-    """Triangular orthonormalization respecting an ascending weight grouping.
+def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> np.ndarray:
+    """Triangular orthonormalization M G M* = I respecting an ascending weight grouping.
 
     gram must be positive definite Hermitian with rows/columns ordered by
     ascending weight.  The Cholesky factor L of G gives M = L^(-1), which is
     the unique lower-triangular change of basis with positive diagonal
-    taking G to the identity.  A pivot L_ii^2 below PIVOT_FLOOR * G_ii means
-    vector i is numerically dependent on the earlier ones; the test is
-    unchanged by rescaling the basis vectors.
+    taking G to the identity; so M is block lower triangular for the weight
+    blocks, unique up to their block-unitary freedom.  A pivot L_ii^2 below
+    PIVOT_FLOOR * G_ii means vector i is numerically dependent on the
+    earlier ones; the test is unchanged by rescaling the basis vectors.
     """
     weights = list(weights)
     G = np.asarray(gram, dtype=complex)
@@ -437,9 +424,7 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> GSResult:
         )
     from scipy.linalg import solve_triangular
 
-    M = solve_triangular(L, np.eye(len(weights), dtype=complex), lower=True)
-    blocks = tuple((w, len(list(group))) for w, group in itertools.groupby(weights))
-    return GSResult(blocks=blocks, matrix=M)
+    return solve_triangular(L, np.eye(len(weights), dtype=complex), lower=True)
 
 
 # -- embedded cycles (Bergman geometry) ---------------------------------------

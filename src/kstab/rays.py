@@ -61,19 +61,10 @@ class SectionFrame:
 
     k: int
     exponents: np.ndarray
-    b_weights: tuple[int, ...]
     lambdas: np.ndarray
     matrix: np.ndarray
     gram: np.ndarray
     gram_mc: MCResult
-
-    @property
-    def lambda_min(self) -> float:
-        return float(np.min(self.lambdas))
-
-    @property
-    def lambda_abs_max(self) -> float:
-        return float(np.max(np.abs(self.lambdas)))
 
 
 def section_frame(
@@ -91,9 +82,8 @@ def section_frame(
     return SectionFrame(
         k=k,
         exponents=exponents,
-        b_weights=sl.b_spectrum,
         lambdas=lambdas,
-        matrix=equivariant_gram_schmidt(sl.b_spectrum, gram).matrix,
+        matrix=equivariant_gram_schmidt(sl.b_spectrum, gram),
         gram=gram,
         gram_mc=mc,
     )
@@ -330,8 +320,8 @@ def build_ray_grid(
         shifted=shifted,
         envelope=env,
         attaining=attaining,
-        lambda_min_per_k=tuple(f.lambda_min for f in frames),
-        lambda_abs_per_k=tuple(f.lambda_abs_max for f in frames),
+        lambda_min_per_k=tuple(float(np.min(f.lambdas)) for f in frames),
+        lambda_abs_per_k=tuple(float(np.max(np.abs(f.lambdas))) for f in frames),
         strict_decrease=strict,
         boundary_continuity=boundary,
     )

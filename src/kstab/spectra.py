@@ -34,6 +34,14 @@ from .polynomials import parse_polynomial
 MAX_MONOMIALS = 10**6
 
 
+def top_level(nvars: int) -> int:
+    """The highest level graded_slice builds for nvars variables under MAX_MONOMIALS."""
+    k = 0
+    while comb(k + 1 + nvars, nvars) <= MAX_MONOMIALS:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class TestConfiguration:
     """Homogeneous ideal plus coordinate weights, with its Groebner data.

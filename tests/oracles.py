@@ -35,13 +35,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from kstab.asymptotics import DEGREE_CAP
 from kstab.geometry import MCResult, fs_density_values, mc_charts, monomial_values
 from kstab.groebner import normal_form, s_polynomial
 from kstab.polynomials import Chart, Polynomial
 from kstab.spectra import graded_slice
 
 TermDict = dict[tuple[int, ...], Fraction]
+
+# the last level fit_eventually_polynomial reads unless told otherwise
+FIT_CAP = 64
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -229,7 +231,7 @@ def fit_eventually_polynomial(
     max_degree: int,
     k_start: int = 1,
     validation: int = 3,
-    cap: int = DEGREE_CAP,
+    cap: int = FIT_CAP,
 ) -> PolynomialFit:
     """Smallest-start exact polynomial fit of an eventually polynomial map.
 
@@ -334,8 +336,8 @@ def cycle_variance(charts) -> float:
     return moment2 - moment1**2 / mass
 
 
-def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
-    """(mu, ladder coefficients, Futaki residual) from the enumerated ladder.
+def chow_ladder(config, r: int, report) -> tuple[Fraction, Fraction]:
+    """(mu, Futaki residual) from the enumerated ladder.
 
     Fits p -> w(rp)*r*d_r - w(r)*(rp)*d_rp from the exact slices at levels
     rp, starting at the first p with rp >= k0, the fit's proven start, and
@@ -362,7 +364,7 @@ def chow_ladder(config, r: int, report) -> tuple[Fraction, tuple[Fraction, ...],
     )
     mu = Fraction(factorial(n + 1)) * fit.coefficient(n + 1) / (r * base.dim)
     c = 1 / (report.a_n * factorial(n + 1))
-    return mu, fit.coeffs, -c * mu / Fraction(r) ** n - report.F_1
+    return mu, -c * mu / Fraction(r) ** n - report.F_1
 
 
 # -- direct chart evaluation --------------------------------------------------

@@ -214,11 +214,11 @@ def test_c14_round_p1_quadrature_sanity():
     for k in (1, 2, 4):
         exps = np.array([[k - a, a] for a in range(k + 1)])
         gram, gram_mc = gram_matrix([line], exps, k, SAMPLES, SEED)
-        gs = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(gram, tol=1.0))
-        rho = oracles.bergman_density(gs.matrix, exps, pts)
+        frame = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(gram, tol=1.0))
+        rho = oracles.bergman_density(frame, exps, pts)
         assert np.max(np.abs(rho - (k + 1))) / (k + 1) <= 0.01
 
-        moment, moment_mc = moment_matrix([line], gs.matrix, exps, SAMPLES, SEED)
+        moment, moment_mc = moment_matrix([line], frame, exps, SAMPLES, SEED)
         trace_gate = 3 * float(
             np.sqrt(np.sum(np.asarray(moment_mc.stderr).diagonal() ** 2))
         )
@@ -238,8 +238,7 @@ def test_c15_equivariant_gram_schmidt_suite():
         weights = sum(([w] * s for w, s in enumerate(sizes)), [])
         A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         G = A @ A.conj().T + 6 * np.eye(6)
-        gs = equivariant_gram_schmidt(weights, G)
-        M = gs.matrix
+        M = equivariant_gram_schmidt(weights, G)
         assert np.max(np.abs(M @ G @ M.conj().T - np.eye(6))) <= 1e-10
         assert np.all(M[np.triu_indices(6, k=1)] == 0)
 
@@ -252,7 +251,7 @@ def test_c15_equivariant_gram_schmidt_suite():
             )
             P[start : start + s, start : start + s] = Q
             start += s
-        M2 = equivariant_gram_schmidt(weights, P @ G @ P.conj().T).matrix
+        M2 = equivariant_gram_schmidt(weights, P @ G @ P.conj().T)
         T = M2 @ P @ np.linalg.inv(M)
         assert np.max(np.abs(T @ T.conj().T - np.eye(6))) <= 1e-9
         mask = np.zeros((6, 6), dtype=bool)

@@ -652,12 +652,29 @@ def test_sampling_law_key_is_rejected(tmp_path, capsys):
     assert "fiber[0]" in err and "'law'" in err
 
 
-def test_lead_degree_past_the_level_cap(tmp_path, capsys):
+def test_lead_degree_70_gets_its_exact_answer(tmp_path):
+    # a plane curve of degree 70 has d_k = 70k - 2345 from k = 68 on, and weights
+    # (0, 1, 2) give w(k) = 105k^2 - 7140k + 164220 there
     path = write_config(tmp_path, weights=[0, 1, 2], generators=["x^70 + y^70 + z^70"])
-    assert run(["futaki", path], tmp_path) == 2
-    err = capsys.readouterr().err
-    assert "k = 68" in err and "up to 72" in err and "cap k = 64" in err
-    assert not (tmp_path / "probe_futaki.json").exists()
+    assert run(["futaki", path], tmp_path) == 0
+    payload = load(tmp_path, "probe_futaki")
+    assert (payload["n"], payload["degree"], payload["stability_window"]) == (1, "70", [68, 72])
+    assert payload["hilbert_coeffs"] == ["-2345", "70"]
+    assert payload["weight_coeffs"] == ["164220", "-7140", "105"]
+    assert (payload["F_0"], payload["F_1"]) == ("3/2", "-207/4")
+
+
+def test_chow_on_six_variables_reads_only_levels_under_the_limit(tmp_path):
+    # six variables allow levels up to 26, below the operator-norm sweep's 30
+    path = write_config(
+        tmp_path,
+        variables=list("abcdef"),
+        weights=[0, 1, 1, 2, 3, 4],
+        generators=["a*f - b*e + c*d"],
+    )
+    assert spectra.top_level(6) == 26
+    assert run(["chow", path], tmp_path) == 0
+    assert load(tmp_path, "probe_chow")["operator_norm"]["pass"] is True
 
 
 def test_envelope_needs_three_levels(tmp_path, capsys):

@@ -432,8 +432,8 @@ def test_moment_matrix_balanced_limit():
     for k in (2, 4, 8):
         exps = np.array([[k - a, a] for a in range(k + 1)])
         G, _ = gram_matrix([LINE], exps, k, 30_000, 0)
-        gs = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(G, tol=1.0))
-        M, mc = moment_matrix([LINE], gs.matrix, exps, 30_000, 0)
+        frame = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(G, tol=1.0))
+        M, mc = moment_matrix([LINE], frame, exps, 30_000, 0)
         dev = float(np.max(np.abs(M - (k / (k + 1)) * np.eye(k + 1))))
         results[k] = dev
         assert abs(np.trace(M).real - k) <= 5 * float(np.max(mc.stderr)) * (k + 1)
@@ -446,11 +446,11 @@ def test_bergman_density_round_p1():
     for k in (1, 2, 4):
         exps = np.array([[k - a, a] for a in range(k + 1)])
         G, _ = gram_matrix([LINE], exps, k, 40_000, 0)
-        gs = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(G, tol=1.0))
+        frame = equivariant_gram_schmidt([0] * (k + 1), hermitian_part(G, tol=1.0))
         pts = np.array(
             [[1.0 + 0j, 0.0j], [0.6, 0.8j], [1 / np.sqrt(2) + 0j, 1j / np.sqrt(2)]]
         )
-        rho = bergman_density(gs.matrix, exps, pts)
+        rho = bergman_density(frame, exps, pts)
         assert np.max(np.abs(rho - (k + 1))) / (k + 1) < 0.01
 
 
@@ -470,12 +470,10 @@ def test_gram_schmidt_identity_and_triangularity():
         weights = sorted(rng.integers(0, 3, size=6).tolist())
         A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         G = A @ A.conj().T + 6 * np.eye(6)
-        gs = equivariant_gram_schmidt(weights, G)
-        M = gs.matrix
+        M = equivariant_gram_schmidt(weights, G)
         assert np.max(np.abs(M @ G @ M.conj().T - np.eye(6))) < 1e-10
         # strictly upper-triangular part is exactly zero
         assert np.all(M[np.triu_indices(6, k=1)] == 0)
-        assert sum(size for _, size in gs.blocks) == 6
 
 
 def test_gram_schmidt_unique_up_to_block_unitary():
@@ -492,8 +490,8 @@ def test_gram_schmidt_unique_up_to_block_unitary():
             Q, _ = np.linalg.qr(B)
             P[start : start + size, start : start + size] = Q
             start += size
-        M1 = equivariant_gram_schmidt(weights, G).matrix
-        M2 = equivariant_gram_schmidt(weights, P @ G @ P.conj().T).matrix
+        M1 = equivariant_gram_schmidt(weights, G)
+        M2 = equivariant_gram_schmidt(weights, P @ G @ P.conj().T)
         T = M2 @ P @ np.linalg.inv(M1)
         # T must be block-diagonal unitary
         assert np.max(np.abs(T @ T.conj().T - np.eye(6))) < 1e-9
@@ -518,8 +516,8 @@ def test_gram_schmidt_rejects_bad_inputs():
         with pytest.raises(ValueError, match="singular"):
             equivariant_gram_schmidt([0, 0, 0], D @ dependent @ D)
     # a small but independent vector is the identity after rescaling
-    gs = equivariant_gram_schmidt([0, 0, 0], np.diag([1.0, 1.0, 1e-14]))
-    assert np.allclose(np.diag(gs.matrix), [1.0, 1.0, 1e7])
+    M = equivariant_gram_schmidt([0, 0, 0], np.diag([1.0, 1.0, 1e-14]))
+    assert np.allclose(np.diag(M), [1.0, 1.0, 1e7])
 
 
 def test_hermitian_part_gates_skew():

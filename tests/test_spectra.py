@@ -183,6 +183,7 @@ def test_high_level_is_built_without_recursion(monkeypatch):
 def test_level_above_the_monomial_limit_is_refused():
     config = conic((0, 0, 1), name="conic-limit")
     top = max(k for k in range(1, 400) if comb(k + 3, 3) <= spectra.MAX_MONOMIALS)
+    assert spectra.top_level(3) == top
     with pytest.raises(ValueError, match=f"level {top + 1} is too high.*limit of"):
         graded_slice(config, top + 1)
     assert spectra._levels(config) == []  # refused before any level was built
