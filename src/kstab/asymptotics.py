@@ -228,7 +228,7 @@ class ChowReport:
 
 
 def chow_weight_algebraic(
-    config: TestConfiguration, r: int, report: AsymptoticReport | None = None
+    config: TestConfiguration, r: int, report: AsymptoticReport
 ) -> ChowReport:
     """Exact Chow weight mu(Z_r, A_r) in closed form from the fitted polynomials.
 
@@ -250,8 +250,6 @@ def chow_weight_algebraic(
     """
     if r < 1:
         raise ValueError("level r must be >= 1")
-    if report is None:
-        report = fit_asymptotics(config)
     n = report.n
     sl = graded_slice(config, r)
     d_r, w_r = sl.dim, sl.total_weight
@@ -277,17 +275,13 @@ class ChowSweep:
 
 
 def chow_sweep(
-    config: TestConfiguration,
-    r_values: Sequence[int],
-    report: AsymptoticReport | None = None,
+    config: TestConfiguration, r_values: Sequence[int], report: AsymptoticReport
 ) -> ChowSweep:
     """Chow reports over levels with the fitted C of |residual| <= C/r.
 
     decay_ok records the property actually tested: |residual| is
     nonincreasing in magnitude over the sweep, or already zero everywhere.
     """
-    if report is None:
-        report = fit_asymptotics(config)
     reports = tuple(chow_weight_algebraic(config, r, report) for r in r_values)
     residuals = [abs(rep.futaki_residual) for rep in reports]
     fitted = max(
@@ -298,14 +292,10 @@ def chow_sweep(
     return ChowSweep(reports=reports, fitted_C=fitted, decay_ok=decay_ok)
 
 
-def operator_norm_check(
-    config: TestConfiguration, k_max: int, report: AsymptoticReport | None = None
-) -> dict:
+def operator_norm_check(config: TestConfiguration, k_max: int, report: AsymptoticReport) -> dict:
     """Exact check that max |lambda|/k stays within the linear-growth budget."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if report is None:
-        report = fit_asymptotics(config)
     c_star = Fraction(0)
     for k in range(1, k_max + 1):
         sl = graded_slice(config, k)

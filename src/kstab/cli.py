@@ -50,8 +50,15 @@ EXIT_NUMERIC = 3
 MIN_SAMPLES = 8192
 # --t-grid times per ray; each adds a row per (point, level) to the CSV
 MAX_T_STEPS = 1000
-# ray.convexity passes when no second divided difference of phi(t;k) is below -CONVEXITY_TOL
+# the ledger's fixed thresholds: relative errors of n2 and chow --numeric
+# against the exact values, the envelope's boundary gap, and the depth
+# below 0 a second divided difference of phi(t;k) may reach in ray.convexity
+N2_TOL = 0.02
+CHOW_TOL = 0.05
+BOUNDARY_TOL = 0.05
 CONVEXITY_TOL = 1e-9
+# the levels of ray and envelope without --k
+RAY_LEVELS = (4, 8, 16)
 _AUTO_PARAMS = ("u", "v", "w")
 
 
@@ -132,9 +139,15 @@ def load_configuration(
     weights = data["weights"]
     if not all(_is_int(w) for w in weights):
         raise ConfigError(f"{path}: weights must be a list of integers")
+    name = data.get("name", Path(path).stem)
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(
+            f"{path}: name must be a JSON string naming one file, not '.' or '..' "
+            "and without '/', '\\' or NUL (it prefixes the report file names)"
+        )
     try:
         config = TestConfiguration.from_strings(
-            str(data.get("name", Path(path).stem)),
+            name,
             variables,
             weights,
             tuple(str(g) for g in data["generators"]),
@@ -201,8 +214,8 @@ class Check(NamedTuple):
     """One verdict of a report; main exits 3 when any check has not passed."""
 
     name: str
-    statistic: float | None
-    threshold: float | None
+    statistic: float
+    threshold: float
     passed: bool
 
 
@@ -263,7 +276,7 @@ def _cmd_flat_limit(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list
 
 
 def _cmd_spectrum(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
-    ks = run.k or tuple(range(1, (run.kmax or 8) + 1))
+    ks = run.k or tuple(range(1, 9))
     rows = []
     for k in ks:
         sl = graded_slice(inputs.config, k)
@@ -351,7 +364,7 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
             )
             name = f"chow.numeric[k={k}]"
             checks += [
-                _at_most(f"{name}.rel_error", rel, run.tol_chow),
+                _at_most(f"{name}.rel_error", rel, CHOW_TOL),
                 _consistency(name, numeric),
             ]
     return payload, checks
@@ -381,7 +394,7 @@ def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]
     exact = inputs.fit.n2_sq
     scale = abs(float(exact)) or 1.0
     rel = abs(result.value - float(exact)) / scale
-    checks = [_at_most("n2.rel_error", rel, run.tol_n2), _consistency("n2", result)]
+    checks = [_at_most("n2.rel_error", rel, N2_TOL), _consistency("n2", result)]
     payload = {
         "a_1_diagonal": lam,
         "exact_n2_sq": exact,
@@ -400,7 +413,7 @@ def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]
     return payload, checks
 
 
-def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)):
+def _ray_machinery(run: argparse.Namespace, inputs: Inputs):
     """Frames, ray grid and the payload fields ray and envelope share."""
     if not inputs.fiber:
         raise ConfigError(
@@ -409,7 +422,7 @@ def _ray_machinery(run: argparse.Namespace, inputs: Inputs, k_default=(4, 8, 16)
     from .rays import build_ray_grid, grid_points
 
     report = inputs.fit
-    ks = run.k or k_default
+    ks = run.k or RAY_LEVELS
     frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
     points = grid_points(inputs.config, inputs.fiber)
     grid = build_ray_grid(
@@ -431,35 +444,32 @@ def _cmd_ray(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]
     from .rays import convexity_report, slope_report, sup_osc_report
 
     frames, grid, payload = _ray_machinery(run, inputs)
-    slopes = slope_report(grid)
-    convexity = convexity_report(grid, CONVEXITY_TOL)
+    max_excess = slope_report(grid)
+    min_gap = convexity_report(grid)
     gram = [_consistency(f"ray.gram[k={f.k}]", f.gram_mc) for f in frames]
+    slope = _at_most("ray.slope", max_excess, 0.0)
+    convexity = _at_most("ray.convexity", -min_gap, CONVEXITY_TOL)
     payload.update(
         gram_consistency_ok=all(c.passed for c in gram),
-        slope_check=slopes,
-        convexity_check=convexity,
+        slope_check={"max_excess": max_excess, "ok": slope.passed},
+        convexity_check={"min_gap": min_gap, "ok": convexity.passed},
         sup_osc=sup_osc_report(grid),
     )
-    checks = gram + [
-        Check("ray.slope", slopes["max_excess"], 0.0, slopes["ok"]),
-        Check("ray.convexity", -convexity["min_gap"], CONVEXITY_TOL, convexity["ok"]),
-    ]
-    return payload, checks, grid
+    return payload, gram + [slope, convexity], grid
 
 
 def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check], object]:
-    ks = run.k or (4, 8, 16)
-    if len(ks) < 3:
+    if len(run.k or RAY_LEVELS) < 3:
         raise ConfigError("envelope needs at least three levels (pass --k)")
-    _, grid, payload = _ray_machinery(run, inputs, ks)
+    _, grid, payload = _ray_machinery(run, inputs)
     near = grid.t_grid.index(max(grid.t_grid))
     payload.update(
         boundary_continuity=grid.boundary_continuity,
         attaining_near_boundary=sorted({int(k) for k in grid.attaining[near]}),
     )
     checks = [
-        Check("envelope.strict_decrease", None, None, grid.strict_decrease),
-        _at_most("envelope.boundary_continuity", grid.boundary_continuity, run.tol_boundary),
+        Check("envelope.strict_decrease", -grid.least_step, 0.0, grid.strict_decrease),
+        _at_most("envelope.boundary_continuity", grid.boundary_continuity, BOUNDARY_TOL),
     ]
     return payload, checks, grid
 
@@ -519,8 +529,7 @@ def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Che
         sub = argparse.Namespace(**{**vars(run), "k": run.k or (2, 3, 4, 6)})
         payload["mass"], c = _cmd_mass(sub, inputs)
         checks += c
-        sub = argparse.Namespace(**{**vars(run), "k": run.k or (4, 8, 16)})
-        payload["ray"], c, _ = _cmd_ray(sub, inputs)
+        payload["ray"], c, _ = _cmd_ray(run, inputs)
         checks += c
     return payload, checks
 
@@ -561,17 +570,6 @@ def _int_at_least(floor: int):
 _positive_int = _int_at_least(1)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a finite number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     values = tuple(_positive_int(part) for part in text.split(",") if part)
     if not values:
@@ -610,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", type=Path, help="configuration JSON file")
     parser.add_argument("--k", type=_int_list, default=None, help="levels, comma separated")
-    parser.add_argument("--kmax", type=_positive_int, default=None, help="top level for spectrum")
     parser.add_argument("--r", type=_int_list, default=None, help="Chow twists")
     parser.add_argument(
         "--t-grid",
@@ -622,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
     parser.add_argument("--numeric", action="store_true", help="add the sampled Chow cross-check")
     parser.add_argument("--out", type=Path, default=Path("."))
-    parser.add_argument("--tol-n2", type=_tolerance, default=0.02)
-    parser.add_argument("--tol-chow", type=_tolerance, default=0.05)
-    parser.add_argument("--tol-boundary", type=_tolerance, default=0.05)
     return parser
 
 

@@ -119,14 +119,10 @@ def _point_key(z: np.ndarray) -> tuple:
     return tuple((round(c.real, 12), round(c.imag, 12)) for c in zh)
 
 
-def grid_points(
-    config: TestConfiguration,
-    fiber: Sequence[Chart],
-    param_values: Sequence[Fraction] = PARAM_VALUES,
-) -> PointGrid:
+def grid_points(config: TestConfiguration, fiber: Sequence[Chart]) -> PointGrid:
     """Chart lattice points plus the coordinate points lying on X.
 
-    The lattice takes every chart parameter through param_values; the
+    The lattice takes every chart parameter through PARAM_VALUES; the
     torus-fixed coordinate points [0:...:1:...:0] are appended when every
     generator vanishes there, since extremal ray slopes occur at fixed
     points that charts may miss.
@@ -149,13 +145,12 @@ def grid_points(
         adjacency.append(set())
         return index_of[key]
 
-    values = list(param_values)
     for ci, chart in enumerate(fiber):
         d = chart.dim
-        shape = (len(values),) * d
+        shape = (len(PARAM_VALUES),) * d
         slots = np.full(shape, -1, dtype=int)
         for multi in np.ndindex(shape):
-            point = tuple(values[j] for j in multi)
+            point = tuple(PARAM_VALUES[j] for j in multi)
             z = np.array(
                 [complex(c.evaluate_exact(point)) for c in chart.components]
             )
@@ -172,7 +167,7 @@ def grid_points(
                 for step in (-1, 1):
                     probe = list(multi)
                     probe[axis] += step
-                    if 0 <= probe[axis] < len(values):
+                    if 0 <= probe[axis] < len(PARAM_VALUES):
                         other = int(slots[tuple(probe)])
                         if other >= 0 and other != here:
                             adjacency[here].add(other)
@@ -223,7 +218,9 @@ class RayGrid:
     phi is the raw potential, shifted adds c_k - eps_k t, envelope is the
     running grid max over levels followed by a neighbor local max (the grid
     surrogate of upper-semicontinuous regularization).  attaining holds the
-    level index winning at each (t, x) before that local max.
+    level index winning at each (t, x) before that local max.  least_step
+    is the smallest drop of phi(0;k) + c_k from one level to the next (inf
+    on a single level), and strict_decrease says it is positive.
     """
 
     n: int
@@ -240,6 +237,7 @@ class RayGrid:
     attaining: np.ndarray
     lambda_min_per_k: tuple[float, ...]
     lambda_abs_per_k: tuple[float, ...]
+    least_step: float
     strict_decrease: bool
     boundary_continuity: float
 
@@ -257,7 +255,7 @@ def build_ray_grid(
     calibrated from the measured boundary gaps e_j = max_x |phi(0;j) -
     phi(0;k_max)|; this makes phi(0;k) + c_k strictly decreasing in k
     whenever the gaps behave.  A failure of that monotonicity is recorded
-    in strict_decrease, not raised.
+    in least_step and strict_decrease, not raised.
     """
     frames = sorted(frames, key=lambda f: f.k)
     k_set = tuple(f.k for f in frames)
@@ -301,9 +299,7 @@ def build_ray_grid(
         env[:, p] = np.max(raw_env[:, list(nbrs)], axis=1)
 
     shifted_zero = phi_zero + np.array(c_k)[:, None]
-    strict = bool(
-        np.all(shifted_zero[:-1] - shifted_zero[1:] > 0.0)
-    )
+    least_step = float(np.min(shifted_zero[:-1] - shifted_zero[1:], initial=math.inf))
     t_near = int(np.argmax(t_arr))
     boundary = float(np.max(np.abs(env[t_near] - phi_zero[-1])))
 
@@ -322,7 +318,8 @@ def build_ray_grid(
         attaining=attaining,
         lambda_min_per_k=tuple(float(np.min(f.lambdas)) for f in frames),
         lambda_abs_per_k=tuple(float(np.max(np.abs(f.lambdas))) for f in frames),
-        strict_decrease=strict,
+        least_step=least_step,
+        strict_decrease=least_step > 0.0,
         boundary_continuity=boundary,
     )
 
@@ -362,24 +359,27 @@ def sup_osc_report(grid: RayGrid) -> list[dict]:
     return out
 
 
-def slope_report(grid: RayGrid) -> dict:
-    """Finite-difference |dphi/dt| against the 2 max|lambda|/k + eps_k bound."""
+def slope_report(grid: RayGrid) -> float:
+    """Largest excess of the finite-difference |dphi/dt| over its bound.
+
+    The bound at level k is 2 max|lambda|/k + eps_k; the ray respects it
+    when the returned excess is at most 0.
+    """
     order = np.argsort(grid.t_grid)
     t = np.array(grid.t_grid)[order]
-    worst = -math.inf
-    ok = True
+    excess = []
     for i, k in enumerate(grid.k_set):
         bound = 2.0 * grid.lambda_abs_per_k[i] / k + 1.0 / math.sqrt(k)
-        ph = grid.phi[i][order]
-        slopes = np.abs(np.diff(ph, axis=0) / np.diff(t)[:, None])
-        excess = float(np.max(slopes) - bound)
-        worst = max(worst, excess)
-        ok = ok and excess <= 0.0
-    return {"max_excess": worst, "ok": ok}
+        slopes = np.abs(np.diff(grid.phi[i][order], axis=0) / np.diff(t)[:, None])
+        excess.append(np.max(slopes) - bound)
+    return float(np.max(excess))
 
 
-def convexity_report(grid: RayGrid, tol: float = 1e-9) -> dict:
-    """Divided-difference convexity of t -> phi(t;k) at each grid point."""
+def convexity_report(grid: RayGrid) -> float:
+    """Least second divided difference of t -> phi(t;k) over levels and points.
+
+    A convex ray has none below 0; inf when the grid has under three times.
+    """
     order = np.argsort(grid.t_grid)
     t = np.array(grid.t_grid)[order]
     min_gap = math.inf
@@ -388,7 +388,7 @@ def convexity_report(grid: RayGrid, tol: float = 1e-9) -> dict:
         slopes = np.diff(ph, axis=0) / np.diff(t)[:, None]
         if slopes.shape[0] >= 2:
             min_gap = min(min_gap, float(np.min(np.diff(slopes, axis=0))))
-    return {"min_gap": min_gap, "ok": min_gap >= -tol}
+    return min_gap
 
 
 # -- energy diagnostics --------------------------------------------------------

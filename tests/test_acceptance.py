@@ -115,7 +115,7 @@ def test_c06_eigenvalue_slope_budget(double_line, two_lines, product_p1, trivial
 
 def test_c07_chow_residual_decay(double_line, two_lines, product_p1, trivial_p1):
     for config, _, _ in (double_line, two_lines, product_p1, trivial_p1):
-        sweep = chow_sweep(config, range(1, 11))
+        sweep = chow_sweep(config, range(1, 11), fit_asymptotics(config))
         assert sweep.decay_ok
         for row in sweep.reports:
             assert abs(row.futaki_residual) <= sweep.fitted_C / row.r

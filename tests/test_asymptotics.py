@@ -162,28 +162,29 @@ def test_interpolation_refuses_nodes_that_are_not_consecutive_integers(nodes):
 
 
 def test_chow_weight_double_line():
-    report = chow_weight_algebraic(DOUBLE_LINE, 1)
+    report = chow_weight_algebraic(DOUBLE_LINE, 1, fit_asymptotics(DOUBLE_LINE))
     assert report.mu == Fraction(2, 3)
     assert report.c_X_omega == Fraction(1, 4)
     assert report.futaki_residual == Fraction(1, 12)
 
 
 def test_chow_weight_two_lines():
-    report = chow_weight_algebraic(TWO_LINES, 1)
+    report = chow_weight_algebraic(TWO_LINES, 1, fit_asymptotics(TWO_LINES))
     assert report.mu == Fraction(1, 3)
     assert report.futaki_residual == Fraction(1, 24)
 
 
 def test_chow_residual_laws():
-    for r in range(1, 9):
-        assert chow_weight_algebraic(DOUBLE_LINE, r).futaki_residual == Fraction(
-            1, 4 * (2 * r + 1)
-        )
-        assert chow_weight_algebraic(TWO_LINES, r).futaki_residual == Fraction(
-            1, 8 * (2 * r + 1)
-        )
-        assert chow_weight_algebraic(PRODUCT, r).futaki_residual == 0
-        assert chow_weight_algebraic(TRIVIAL, r).futaki_residual == 0
+    laws = [
+        (DOUBLE_LINE, lambda r: Fraction(1, 4 * (2 * r + 1))),
+        (TWO_LINES, lambda r: Fraction(1, 8 * (2 * r + 1))),
+        (PRODUCT, lambda r: 0),
+        (TRIVIAL, lambda r: 0),
+    ]
+    for config, law in laws:
+        report = fit_asymptotics(config)
+        for r in range(1, 9):
+            assert chow_weight_algebraic(config, r, report).futaki_residual == law(r)
 
 
 CHOW_ORACLE_CONFIGS = [
@@ -407,15 +408,16 @@ def test_fit_past_the_level_limit_raises_before_building_a_level(monkeypatch):
 
 
 def test_chow_sweep_monotone_envelope():
-    sweep = chow_sweep(DOUBLE_LINE, range(1, 11))
+    sweep = chow_sweep(DOUBLE_LINE, range(1, 11), fit_asymptotics(DOUBLE_LINE))
     assert sweep.decay_ok
     assert sweep.fitted_C == Fraction(5, 42)
     assert len(sweep.reports) == 10
     for rep in sweep.reports:
         assert abs(rep.futaki_residual) <= sweep.fitted_C / rep.r
 
-    assert chow_sweep(TWO_LINES, range(1, 11)).fitted_C == Fraction(5, 84)
-    assert chow_sweep(PRODUCT, range(1, 11)).fitted_C == 0
+    two_lines = chow_sweep(TWO_LINES, range(1, 11), fit_asymptotics(TWO_LINES))
+    assert two_lines.fitted_C == Fraction(5, 84)
+    assert chow_sweep(PRODUCT, range(1, 11), fit_asymptotics(PRODUCT)).fitted_C == 0
 
 
 def test_futaki_f_tracks_f1():
@@ -432,10 +434,10 @@ def test_futaki_f_tracks_f1():
 
 def test_operator_norm_budget():
     for config in (DOUBLE_LINE, TWO_LINES, PRODUCT, TRIVIAL):
-        out = operator_norm_check(config, 30)
+        out = operator_norm_check(config, 30, fit_asymptotics(config))
         assert out["pass"]
         assert out["C_star"] <= out["budget"]
-    dl = operator_norm_check(DOUBLE_LINE, 12)
+    dl = operator_norm_check(DOUBLE_LINE, 12, fit_asymptotics(DOUBLE_LINE))
     assert dl["C_star"] == Fraction(2, 3)
     assert dl["budget"] == Fraction(5, 2)
 

@@ -76,7 +76,7 @@ def test_twisted_cubic_reduces_its_s_pairs(tmp_path):
 
 
 def test_spectrum_payload(tmp_path):
-    assert run(["spectrum", DL, "--kmax", "4"], tmp_path) == 0
+    assert run(["spectrum", DL, "--k", "1,2,3,4"], tmp_path) == 0
     payload = load(tmp_path, "conic_double_line_spectrum")
     slices = payload["slices"]
     assert [s["k"] for s in slices] == [1, 2, 3, 4]
@@ -229,12 +229,10 @@ def test_envelope_reports_honest_boundary_failure(tmp_path):
     assert code == 3
     payload = load(tmp_path, "conic_double_line_envelope")
     strict, boundary = payload["checks"]
-    assert strict == {
-        "name": "envelope.strict_decrease",
-        "statistic": None,
-        "threshold": None,
-        "passed": True,
-    }
+    assert strict["name"] == "envelope.strict_decrease"
+    # minus the least step of phi(0;k) + c_k down the ladder
+    assert strict["statistic"] < strict["threshold"] == 0.0
+    assert strict["passed"] is True
     assert failed(payload) == ["envelope.boundary_continuity"]
     assert boundary["statistic"] == payload["boundary_continuity"]
     assert boundary["statistic"] > boundary["threshold"] == 0.05
@@ -279,42 +277,44 @@ RAY = ["ray", DL, "--k", "2,4", "--samples", "10000", "--t-grid=-0.5:-30:8"]
 ENVELOPE = ["envelope", DL, "--k", "2,3,4", "--samples", "10000"]
 N2 = ["n2", DL, "--samples", "8192"]
 CHOW = ["chow", DL, "--numeric", "--samples", "8192"]
-# each case makes one check fail alone, by a zero tolerance or a patched
+# each case makes one check fail alone, by a zero threshold or a patched
 # statistic; unpatched, each of these runs passes every check
 FAULTS = {
-    "n2.rel_error": (N2 + ["--tol-n2", "0"], None),
-    "n2.consistency": (N2, _patched(geometry, "n2_integral", _inconsistent)),
-    "chow.numeric[k=1].rel_error": (CHOW + ["--tol-chow", "0"], None),
+    "n2.rel_error": (N2, [(cli, "N2_TOL", 0.0)]),
+    "n2.consistency": (N2, [_patched(geometry, "n2_integral", _inconsistent)]),
+    "chow.numeric[k=1].rel_error": (CHOW, [(cli, "CHOW_TOL", 0.0)]),
     "chow.numeric[k=1].consistency": (
         CHOW,
-        _patched(rays, "chow_weight_numeric", _inconsistent),
+        [_patched(rays, "chow_weight_numeric", _inconsistent)],
     ),
-    "mass[k=3].consistency": (MASS, _patched(rays, "ma_mass", _mc_at_level(3, "moment_mc"))),
-    "mass[k=3].positivity": (MASS, _patched(rays, "ma_mass", _at_level(3, mass=-1.0))),
-    "mass.bounded": (MASS, _patched(rays, "ma_mass", _at_level(3, mass_times_k=1e3))),
+    "mass[k=3].consistency": (MASS, [_patched(rays, "ma_mass", _mc_at_level(3, "moment_mc"))]),
+    "mass[k=3].positivity": (MASS, [_patched(rays, "ma_mass", _at_level(3, mass=-1.0))]),
+    "mass.bounded": (MASS, [_patched(rays, "ma_mass", _at_level(3, mass_times_k=1e3))]),
     "ray.gram[k=4].consistency": (
         RAY,
-        _patched(rays, "section_frame", _mc_at_level(4, "gram_mc")),
+        [_patched(rays, "section_frame", _mc_at_level(4, "gram_mc"))],
     ),
-    "ray.slope": (RAY, (rays, "slope_report", lambda grid: {"max_excess": 1.0, "ok": False})),
-    "ray.convexity": (
-        RAY,
-        (rays, "convexity_report", lambda grid, tol: {"min_gap": -1.0, "ok": False}),
-    ),
-    "envelope.boundary_continuity": (ENVELOPE + ["--tol-boundary", "0"], None),
+    "ray.slope": (RAY, [(rays, "slope_report", lambda grid: 1.0)]),
+    "ray.convexity": (RAY, [(rays, "convexity_report", lambda grid: -1.0)]),
+    "envelope.boundary_continuity": (ENVELOPE, [(cli, "BOUNDARY_TOL", 0.0)]),
     "envelope.strict_decrease": (
-        ENVELOPE + ["--tol-boundary", "10"],
-        _patched(
-            rays, "build_ray_grid", lambda grid: dataclasses.replace(grid, strict_decrease=False)
-        ),
+        ENVELOPE,
+        [
+            (cli, "BOUNDARY_TOL", 10.0),
+            _patched(
+                rays,
+                "build_ray_grid",
+                lambda grid: dataclasses.replace(grid, least_step=-1.0, strict_decrease=False),
+            ),
+        ],
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_each_check_fails_alone_and_is_named(tmp_path, capsys, monkeypatch, name):
-    args, patch = FAULTS[name]
-    if patch:
+    args, patches = FAULTS[name]
+    for patch in patches:
         monkeypatch.setattr(*patch)
     assert run(args, tmp_path) == 3
     (report,) = tmp_path.glob("*.json")
@@ -418,8 +418,8 @@ def test_console_entry_point(tmp_path):
             "kstab.cli",
             "spectrum",
             DL,
-            "--kmax",
-            "2",
+            "--k",
+            "1,2",
             "--out",
             str(tmp_path),
         ],
@@ -520,6 +520,19 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(body))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "ABSOLUTE", "a/b", "a\\b", "a\0b", "", ".", "..", None, 7, ["x"]]
+)
+def test_name_must_be_one_path_component(tmp_path, capsys, name):
+    # the name prefixes the report files, so it may not point outside --out
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "escaped")
+    path = write_config(tmp_path, name=name)
+    assert run(["futaki", path], tmp_path / "out") == 2
+    assert "name must be" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
 
 
 def test_missing_weights_key(tmp_path, capsys):
@@ -684,8 +697,9 @@ def test_envelope_needs_three_levels(tmp_path, capsys):
 
 @pytest.mark.parametrize("kmax", ["0", "-2"])
 def test_kmax_must_be_positive(tmp_path, capsys, kmax):
-    assert run(["spectrum", DL, f"--kmax={kmax}"], tmp_path) == 2
-    assert "--kmax" in capsys.readouterr().err
+    # spectrum reads its levels, up to the top one, from --k
+    assert run(["spectrum", DL, f"--k=1,{kmax}"], tmp_path) == 2
+    assert "--k" in capsys.readouterr().err
     assert not (tmp_path / "conic_double_line_spectrum.json").exists()
 
 
@@ -741,11 +755,12 @@ def test_level_above_the_monomial_limit_exits_quickly(tmp_path, capsys):
     assert f"limit of {spectra.MAX_MONOMIALS}" in err
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize(
-    "flag, command", [("--tol-n2", "n2"), ("--tol-chow", "chow"), ("--tol-boundary", "envelope")]
+    "flag, command",
+    [("--tol-n2", "n2"), ("--tol-chow", "chow"), ("--tol-boundary", "envelope"), ("--kmax", "spectrum")],
 )
-def test_tolerances_are_finite_and_nonnegative(tmp_path, capsys, flag, command, value):
-    assert run([command, DL, f"{flag}={value}"], tmp_path) == 2
+def test_removed_flags_are_rejected(tmp_path, capsys, flag, command):
+    # the ledger's thresholds are constants, and spectrum takes --k
+    assert run([command, DL, f"{flag}=1"], tmp_path) == 2
     assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
