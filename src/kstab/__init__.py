@@ -8,9 +8,10 @@ diagnostics.  The `kstab` console script drives both from JSON
 configuration files; see the bundled files under kstab/configs/.
 
 Importing kstab loads only the exact layer.  The numeric names (those of
-kstab.geometry and kstab.rays) resolve on first use, which imports NumPy
-and SciPy; so do the sampling commands n2, ray, mass, envelope, report and
-chow --numeric.  flat-limit, spectrum, futaki and chow never load them.
+kstab.geometry and kstab.rays) resolve on first use, which imports NumPy,
+the package's only dependency; so do the sampling commands n2, ray, mass,
+envelope, report and chow --numeric.  flat-limit, spectrum, futaki and chow
+never load it.
 """
 
 import importlib

@@ -10,9 +10,9 @@ flags, bad mathematics requested, reports that cannot be written), 3 some
 check failed (the report file is still written, and stdout names the
 failed checks).
 
-flat-limit, spectrum, futaki and chow never import NumPy or SciPy; the
-sampling commands (n2, ray, mass, envelope, report, chow --numeric) import
-the numeric layer, kstab.geometry and kstab.rays, in their handlers.
+flat-limit, spectrum, futaki and chow never import NumPy; the sampling
+commands (n2, ray, mass, envelope, report, chow --numeric) import the
+numeric layer, kstab.geometry and kstab.rays, in their handlers.
 """
 
 from __future__ import annotations
@@ -166,6 +166,20 @@ def load_configuration(
                 f"{path}: chart has {chart.ambient_count} components for "
                 f"{len(variables)} variables"
             )
+    # a fiber chart must lie on X and a cycle chart on X_0; multiplicities are
+    # left to the sampled checks of n2 and chow --numeric
+    initial = initial_ideal(config.groebner_basis, config.order)
+    for section, target, charts, ideal in (
+        ("fiber", "variety", fiber, config.generators),
+        ("cycle", "flat limit", cycle, initial),
+    ):
+        for i, chart in enumerate(charts):
+            for g in ideal:
+                if g.compose(chart.components):
+                    raise ConfigError(
+                        f"{path}: {section}[{i}] does not lie on the {target}: "
+                        f"{g.to_string(variables)!r} does not vanish on it"
+                    )
     return config, fiber, cycle
 
 

@@ -295,11 +295,7 @@ def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBas
                 f"exponent row {row.tolist()} has {len(row)} entries for "
                 f"{chart.ambient_count} chart components"
             )
-        p = Polynomial.constant(d, 1)
-        for component, e in zip(chart.components, row):
-            for _ in range(e):
-                p = p * component
-        values.append(p)
+        values.append(Polynomial.monomial(len(row), row).compose(chart.components))
     groups = [values] + ([[p.differentiate(i) for p in values] for i in range(d)] if jet else [])
     basis = _PowerBasis([alpha for p in values for alpha in p.terms], d)
     row = {alpha: j for j, alpha in enumerate(basis.exponents)}
@@ -422,9 +418,11 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> np.ndarray:
         raise ValueError(
             "gram matrix is numerically singular: basis dependent on cycle"
         )
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(L, np.eye(len(weights), dtype=complex), lower=True)
+    M = np.zeros_like(L)  # L^(-1) by forward substitution, exactly lower triangular
+    for i in range(len(L)):
+        M[i, i] = 1.0 / L[i, i]
+        M[i, :i] = -(L[i, :i] @ M[:i, :i]) / L[i, i]
+    return M
 
 
 # -- embedded cycles (Bergman geometry) ---------------------------------------

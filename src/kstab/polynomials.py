@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -201,6 +201,19 @@ class Polynomial:
         res = Polynomial(self.nvars)
         res.terms = out
         return res
+
+    def compose(self, components: Sequence["Polynomial"]) -> "Polynomial":
+        """self(components): component i replaces variable i, in exact arithmetic."""
+        if len(components) != self.nvars:
+            raise ValueError(f"{len(components)} components for {self.nvars} variables")
+        result = Polynomial.zero(components[0].nvars)
+        for expo, coeff in self.terms.items():
+            term = Polynomial.constant(result.nvars, coeff)
+            for component, e in zip(components, expo):
+                for _ in range(e):
+                    term = term * component
+            result = result + term
+        return result
 
     def evaluate_exact(self, point: Iterable) -> Fraction:
         pt = [Fraction(v) for v in point]

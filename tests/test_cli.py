@@ -431,7 +431,7 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # SciPy and NumPy are imported only by the functions that sample
+    # NumPy is imported only by the functions that sample, and SciPy by none
     proc = subprocess.run(
         [
             sys.executable,
@@ -473,11 +473,25 @@ def test_exact_commands_leave_numpy_unloaded(command, tmp_path):
     assert _probe_imports(command, tmp_path) == "[0, 0, 0, 0] False False"
 
 
-@pytest.mark.parametrize("command", ["n2", "chow"])
+# the flags that keep each sampling command small (envelope needs three
+# levels) and its exit code there: envelope fails its boundary gap, as c13 does
+SMALL_RUNS = {
+    "n2": ([], 0),
+    "chow": (["--numeric", "--k", "1"], 0),
+    "ray": (["--k", "2,3,4"], 0),
+    "mass": (["--k", "2,3,4"], 0),
+    "envelope": (["--k", "2,3,4"], 3),
+    "report": (["--k", "2,3,4"], 0),
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
 def test_sampling_commands_load_numpy(command, tmp_path):
-    extra = ["--numeric"] if command == "chow" else []
+    # NumPy is the numeric layer's only library: no sampling command loads SciPy
+    flags, code = SMALL_RUNS[command]
+    extra = ["--samples", "8192", *flags]
     line = _probe_imports(command, tmp_path, *extra, names=("conic_double_line",))
-    assert line.startswith("[0] True")
+    assert line == f"[{code}] True False"
 
 
 def test_lazy_package_names_resolve():
@@ -629,6 +643,26 @@ def test_chart_component_arity(tmp_path, capsys):
     )
     assert run(["ray", path, "--k", "2,3", "--samples", "8192"], tmp_path) == 2
     assert "chart" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize(
+    "command, section, chart, form",
+    [
+        # [1:u:u^3] is not on xz = y^2: ray used to write the ray of another curve
+        (["ray", "--seed", "1"], "fiber", {"components": ["1", "u", "u^3"]}, "-y^2 + x*z"),
+        # {z = 0} is not X_0 = 2{y = 0}: n2 and chow --numeric used to exit 3
+        (["n2"], "cycle", {"components": ["1", "u", "0"], "multiplicity": 2}, "y^2"),
+        (["chow", "--numeric"], "cycle", {"components": ["1", "u", "0"], "multiplicity": 2}, "y^2"),
+    ],
+)
+def test_chart_off_its_variety_is_a_config_error(tmp_path, capsys, command, section, chart, form):
+    good = json.loads(config_path("conic_double_line").read_text())
+    path = write_config(tmp_path, **{**good, "name": "probe", section: [chart]})
+    out = tmp_path / "out"
+    assert run([command[0], path, *command[1:], "--samples", "8192"], out) == 2
+    err = capsys.readouterr().err
+    assert f"{section}[0]" in err and f"{form!r} does not vanish" in err
+    assert not out.exists()
 
 
 def test_ray_without_fiber(tmp_path, capsys):

@@ -466,14 +466,15 @@ def test_energy_derivative_is_a_trace():
 
 def test_gram_schmidt_identity_and_triangularity():
     rng = np.random.default_rng(0)
-    for trial in range(25):
-        weights = sorted(rng.integers(0, 3, size=6).tolist())
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        G = A @ A.conj().T + 6 * np.eye(6)
+    # 25 inputs of size 6, then one of 49, the conic's section count at level 24
+    for D in [6] * 25 + [49]:
+        weights = sorted(rng.integers(0, 3, size=D).tolist())
+        A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        G = A @ A.conj().T + D * np.eye(D)
         M = equivariant_gram_schmidt(weights, G)
-        assert np.max(np.abs(M @ G @ M.conj().T - np.eye(6))) < 1e-10
+        assert np.max(np.abs(M @ G @ M.conj().T - np.eye(D))) < 1e-10
         # strictly upper-triangular part is exactly zero
-        assert np.all(M[np.triu_indices(6, k=1)] == 0)
+        assert np.all(M[np.triu_indices(D, k=1)] == 0)
 
 
 def test_gram_schmidt_unique_up_to_block_unitary():

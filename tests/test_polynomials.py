@@ -196,6 +196,25 @@ def test_print_parse_fixed_point(f):
     assert parse_polynomial(f.to_string(XYZ), XYZ) == f
 
 
+def test_compose_substitutes_components():
+    u = ("u",)
+    on_conic = [poly(c, u) for c in ("1", "u", "u^2")]
+    assert poly("x*z - y^2").compose(on_conic) == Polynomial.zero(1)
+    off_conic = [poly(c, u) for c in ("1", "u", "u^3")]
+    assert poly("x*z - y^2").compose(off_conic) == poly("u^3 - u^2", u)
+    assert poly("1/2*x^2 + 3").compose(on_conic) == poly("7/2", u)
+    with pytest.raises(ValueError, match="2 components for 3 variables"):
+        poly("x*z - y^2").compose(on_conic[:2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), st.lists(polynomials(), min_size=3, max_size=3))
+def test_compose_commutes_with_evaluation(f, components):
+    point = (Fraction(2), Fraction(-1, 3), Fraction(1, 2))
+    inner = [c.evaluate_exact(point) for c in components]
+    assert f.compose(components).evaluate_exact(point) == f.evaluate_exact(inner)
+
+
 # -- term order ----------------------------------------------------------------
 
 

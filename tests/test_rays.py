@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kstab import rays
 from kstab.rays import PARAM_VALUES
 from kstab import cli
 from kstab import (
@@ -117,6 +118,14 @@ def test_build_ray_grid_rejects_duplicate_levels(dl_frames, dl_points):
     for t in (0.0, 0.5):
         with pytest.raises(ValueError, match="negative"):
             build_ray_grid([dl_frames[4]], (t,), dl_points, 1, 2.0)
+
+
+def test_inverse_square_tail_is_the_trigamma_function():
+    # c_k scales sum_{j>=k} j^(-2) = polygamma(1, k); SciPy serves as the oracle
+    from scipy.special import polygamma
+
+    for k in range(1, 1501):
+        assert rays._inverse_square_tail(k) == pytest.approx(float(polygamma(1, k)), rel=1e-13)
 
 
 def test_grid_shapes_and_envelope_dominates(dl_grid):
