@@ -249,9 +249,10 @@ def _consistency(name: str, result) -> Check:
 class Inputs:
     """A loaded configuration plus what the commands derive from it, each once.
 
-    fiber and cycle are the chart lists of load_configuration.  report runs
-    several commands on one Inputs, so they share the asymptotic fit and the
-    section frame of each (level, sample count, seed).
+    fiber and cycle are the chart lists of load_configuration; the sampling
+    commands take them through charts().  report runs several commands on
+    one Inputs, so they share the asymptotic fit and the section frame of
+    each (level, sample count, seed).
     """
 
     config: TestConfiguration
@@ -262,6 +263,20 @@ class Inputs:
     @cached_property
     def fit(self) -> AsymptoticReport:
         return fit_asymptotics(self.config)
+
+    def charts(self, section: str) -> list[Chart]:
+        """The fiber or cycle charts; each must have n parameters, n = dim X."""
+        charts = getattr(self, section)
+        if not charts:
+            what = {"fiber": "parametrizing the variety", "cycle": "describing the flat limit"}
+            raise ConfigError(f"this command needs a {section!r} section {what[section]}")
+        for i, chart in enumerate(charts):
+            if chart.dim != self.fit.n:
+                raise ConfigError(
+                    f"{section}[{i}]: its parameter count {chart.dim} is not the "
+                    f"dimension n = {self.fit.n} of the variety"
+                )
+        return charts
 
     def frame(self, k: int, samples: int, seed: int) -> SectionFrame:
         from .rays import section_frame
@@ -351,16 +366,13 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
     }
     checks = []
     if run.numeric:
-        if not inputs.cycle:
-            raise ConfigError(
-                "chow --numeric needs a 'cycle' section describing the flat limit"
-            )
+        cycle = inputs.charts("cycle")
         from .rays import chow_weight_numeric
 
         payload["numeric"] = []
         for k in run.k or (1,):
             numeric = chow_weight_numeric(
-                config, inputs.cycle, k, report.n, run.samples, run.seed
+                config, cycle, k, report.n, run.samples, run.seed
             )
             exact = chow_weight_algebraic(config, k, report).mu
             scale = max(abs(float(exact)), 1.0)
@@ -399,12 +411,11 @@ def _ambient_lambda(config: TestConfiguration) -> list[float]:
 
 
 def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
-    if not inputs.cycle:
-        raise ConfigError("n2 needs a 'cycle' section describing the flat limit")
+    cycle = inputs.charts("cycle")
     from .geometry import n2_integral
 
     lam = _ambient_lambda(inputs.config)
-    result = n2_integral(inputs.cycle, lam, run.samples, run.seed)
+    result = n2_integral(cycle, lam, run.samples, run.seed)
     exact = inputs.fit.n2_sq
     scale = abs(float(exact)) or 1.0
     rel = abs(result.value - float(exact)) / scale
@@ -429,16 +440,13 @@ def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]
 
 def _ray_machinery(run: argparse.Namespace, inputs: Inputs):
     """Frames, ray grid and the payload fields ray and envelope share."""
-    if not inputs.fiber:
-        raise ConfigError(
-            f"{run.command} needs a 'fiber' section parametrizing the variety"
-        )
+    fiber = inputs.charts("fiber")
     from .rays import build_ray_grid, grid_points
 
     report = inputs.fit
     ks = run.k or RAY_LEVELS
     frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
-    points = grid_points(inputs.config, inputs.fiber)
+    points = grid_points(inputs.config, fiber)
     grid = build_ray_grid(
         frames, run.t_grid, points, report.n, float(report.degree_volume)
     )
@@ -489,8 +497,7 @@ def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[C
 
 
 def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
-    if not inputs.fiber:
-        raise ConfigError("mass needs a 'fiber' section parametrizing the variety")
+    fiber = inputs.charts("fiber")
     from .rays import ma_mass
 
     ks = run.k or tuple(range(2, 13))
@@ -498,7 +505,7 @@ def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
     checks = []
     for k in ks:
         frame = inputs.frame(k, run.samples, run.seed)
-        er = ma_mass(inputs.config, inputs.fiber, frame, inputs.fit, run.samples, run.seed)
+        er = ma_mass(inputs.config, fiber, frame, inputs.fit, run.samples, run.seed)
         consistency = _consistency(f"mass[k={k}]", er.moment_mc)
         rows.append(
             {

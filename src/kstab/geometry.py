@@ -85,8 +85,9 @@ def _draw_batch(rng: np.random.Generator, size: int, d: int) -> tuple[np.ndarray
 class MCResult:
     """A seeded Monte Carlo estimate with its reproducibility contract.
 
-    value/stderr are floats or arrays of the integrand shape.
-    consistency_ratio compares the first quarter of the batches against the
+    value/stderr are floats or arrays of the statistic's shape; stderr is
+    mc_charts' jackknife over batches, chart by chart.  consistency_ratio
+    compares the estimate from the first quarter of the batches against the
     full run: max |difference| / (5 stderr) over the entries.  The CLI's
     ledger of checks holds the threshold it must stay under.
     """
@@ -176,50 +177,46 @@ def _batch_means(
     return seed, n_batches, per_chart
 
 
-def _mc_result(value, stderr, quarter, seed: tuple[int, ...], n_batches: int) -> MCResult:
-    """MCResult of an estimate, its stderr and its first-quarter estimate."""
-    diff = np.abs(quarter - value)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(diff > 0, diff / (5.0 * stderr + 1e-300), 0.0)
-    ratio = float(np.max(ratio))
-    scalar = np.ndim(value) == 0
-    return MCResult(
-        value=float(np.real(value)) if scalar else value,
-        stderr=float(stderr) if scalar else stderr,
-        n_samples=n_batches * BATCH_SIZE,
-        batch_size=BATCH_SIZE,
-        seed=seed,
-        consistency_ratio=ratio,
-    )
-
-
 def mc_charts(
     charts: Sequence[Chart],
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
+    statistic: Callable = lambda total: total,
 ) -> MCResult:
-    """Multiplicity-weighted sum of per-chart Monte Carlo means.
+    """A statistic of the multiplicity-weighted sum of per-chart Monte Carlo means.
 
     batch_mean(chart, u, pdf) must return the mean over the batch of the
-    per-sample contribution (importance weight included).  The stderr is
-    the per-chart batch scatter, combined over charts.
+    per-sample contribution (importance weight included).  The stderr is a
+    jackknife that leaves out one batch x_cb of one chart at a time, which
+    moves the total by m_c (mean_c - x_cb) / (n - 1); the charts draw
+    independent substreams, so their variances add.  For the identity it
+    is the per-chart batch scatter.  The quarter estimate is the statistic
+    of the total over each chart's first quarter of batches.
     """
-    seed, n_batches, per_chart = _batch_means(charts, batch_mean, n_samples, seed)
-    n_quarter = max(1, n_batches // 4)
-    totals = []
+    seed, n, per_chart = _batch_means(charts, batch_mean, n_samples, seed)
+    q = max(1, n // 4)
+    means = [_tree_sum(xs) / n for xs in per_chart]
+    total = _tree_sum([chart.multiplicity * mean for chart, mean in zip(charts, means)])
+    firsts = [_tree_sum(xs[:q]) / q for xs in per_chart]
+    quarter = _tree_sum([chart.multiplicity * first for chart, first in zip(charts, firsts)])
     variances = []
-    quarters = []
-    for chart, means in zip(charts, per_chart):
-        mean_c = _tree_sum(means) / n_batches
-        var_c = _tree_sum([np.abs(m - mean_c) ** 2 for m in means]) / (
-            (n_batches - 1) * n_batches
-        )
-        totals.append(chart.multiplicity * mean_c)
-        variances.append(chart.multiplicity**2 * var_c)
-        quarters.append(chart.multiplicity * (_tree_sum(means[:n_quarter]) / n_quarter))
-    return _mc_result(
-        _tree_sum(totals), np.sqrt(_tree_sum(variances)), _tree_sum(quarters), seed, n_batches
+    for chart, mean, xs in zip(charts, means, per_chart):
+        jack = [statistic(total + chart.multiplicity * (mean - x) / (n - 1)) for x in xs]
+        centre = _tree_sum(jack) / n
+        variances.append(_tree_sum([np.abs(t - centre) ** 2 for t in jack]) * ((n - 1) / n))
+    value, stderr = statistic(total), np.sqrt(_tree_sum(variances))
+    diff = np.abs(statistic(quarter) - value)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(diff > 0, diff / (5.0 * stderr + 1e-300), 0.0)
+    scalar = np.ndim(value) == 0
+    return MCResult(
+        value=float(np.real(value)) if scalar else value,
+        stderr=float(stderr) if scalar else stderr,
+        n_samples=n * BATCH_SIZE,
+        batch_size=BATCH_SIZE,
+        seed=seed,
+        consistency_ratio=float(np.max(ratio)),
     )
 
 
@@ -498,8 +495,8 @@ def n2_integral(
 
     h(z) = sum lambda_a |z_a|^2 / |z|^2; the mean reference h-hat is taken
     over the multiplicity-weighted cycle so the result is invariant under
-    lambda -> lambda + c.  Returns int (h - h_hat)^2 with its jackknife
-    stderr.
+    lambda -> lambda + c.  Returns int (h - h_hat)^2 = m2 - m1^2 / mass,
+    the mc_charts statistic of the cycle's (mass, int h, int h^2).
     """
     lam = np.asarray(lambdas, dtype=float)
     if any(chart.ambient_count != len(lam) for chart in charts):
@@ -512,19 +509,4 @@ def n2_integral(
         h = np.abs(V) ** 2 @ lam
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
-    seed, n_batches, per_chart = _batch_means(charts, triple, n_samples, seed)
-    triples = np.array(
-        [[chart.multiplicity * row for row in rows] for chart, rows in zip(charts, per_chart)]
-    )
-
-    def statistic(mask: np.ndarray) -> float:
-        total = triples[:, mask, :].mean(axis=1).sum(axis=0)
-        mass, m1, m2 = total
-        return m2 - m1 * m1 / mass
-
-    batches = np.arange(n_batches)
-    jack = np.array([statistic(batches != b) for b in batches])
-    stderr = math.sqrt(max(0.0, (n_batches - 1) / n_batches * np.sum((jack - np.mean(jack)) ** 2)))
-    quarter = statistic(batches < max(1, n_batches // 4))
-    full = statistic(np.ones(n_batches, dtype=bool))
-    return _mc_result(full, stderr, quarter, seed, n_batches)
+    return mc_charts(charts, triple, n_samples, seed, lambda t: t[2] - t[1] * t[1] / t[0])

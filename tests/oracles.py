@@ -15,11 +15,13 @@ in floating point (evaluate_batch, chart_values, chart_jacobian), an
 independent reference for the package, which evaluates every chart
 through the exact pullbacks of its sections.
 
-The helpers in the last two sections are the exception: they run on the
+The helpers in the last three sections are the exception: they run on the
 package's own code, and live here because only the tests use them.  They
 are the Fubini-Study mass and integral helpers (_base_weight,
 fs_volume_density, fs_mass, mc_integrate) on the direct chart evaluator,
 the package's density fs_density_values and its Monte Carlo engine, the
+reference stderrs of per-chart batch means (batch_scatter, which sums in
+the engine's order, joint_jackknife and stratified_jackknife), the
 Buchberger criterion is_groebner_basis on normal_form and s_polynomial,
 bergman_density on monomial_values, and futaki_f with level_comparison,
 which read the exact slices and an existing ray grid.
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from kstab.geometry import MCResult, fs_density_values, mc_charts, monomial_values
+from kstab.geometry import MCResult, _tree_sum, fs_density_values, mc_charts, monomial_values
 from kstab.groebner import normal_form, s_polynomial
 from kstab.polynomials import Chart, Polynomial
 from kstab.spectra import graded_slice
@@ -438,6 +440,55 @@ def mc_integrate(
         return np.mean(w * np.asarray(integrand(zhat)))
 
     return mc_charts(charts, mean, n_samples, seed)
+
+
+# -- reference stderrs from per-chart batch means ------------------------------
+
+
+def batch_scatter(charts: Sequence[Chart], per_chart) -> tuple[object, object]:
+    """The multiplicity-weighted total of per-chart means and its batch-scatter stderr.
+
+    per_chart[c] lists chart c's batch means; the chart variances
+    sum |x - mean|^2 / ((n - 1) n) add.  Sums run in the engine's pairwise
+    order (_tree_sum), so the total is the engine's bit for bit.
+    """
+    totals, variances = [], []
+    for chart, xs in zip(charts, per_chart):
+        n = len(xs)
+        mean = _tree_sum(xs) / n
+        totals.append(chart.multiplicity * mean)
+        variances.append(
+            chart.multiplicity**2 * _tree_sum([np.abs(x - mean) ** 2 for x in xs]) / ((n - 1) * n)
+        )
+    return _tree_sum(totals), np.sqrt(_tree_sum(variances))
+
+
+def joint_jackknife(charts: Sequence[Chart], per_chart, statistic: Callable) -> float:
+    """Jackknife stderr of a statistic that leaves out batch b of every chart at once."""
+    x = np.array([[chart.multiplicity * m for m in xs] for chart, xs in zip(charts, per_chart)])
+    n = x.shape[1]
+    keep = ~np.eye(n, dtype=bool)
+    jack = np.array([statistic(x[:, keep[b]].mean(axis=1).sum(axis=0)) for b in range(n)])
+    return float(np.sqrt((n - 1) / n * np.sum((jack - jack.mean()) ** 2)))
+
+
+def stratified_jackknife(charts: Sequence[Chart], per_chart, statistic: Callable) -> tuple:
+    """(value, stderr, quarter) of a statistic of the total of per-chart means.
+
+    Leaves out one batch of one chart at a time, recomputing that chart's
+    mean from the kept batches, and adds the per-chart jackknife variances;
+    the quarter value uses each chart's first quarter of batches.
+    """
+    x = [np.array([chart.multiplicity * m for m in xs]) for chart, xs in zip(charts, per_chart)]
+    n = len(x[0])
+    total = sum(xc.mean(axis=0) for xc in x)
+    variance = 0.0
+    for xc in x:
+        others = total - xc.mean(axis=0)
+        jack = np.array([statistic(others + np.delete(xc, b, axis=0).mean(axis=0)) for b in range(n)])
+        variance += (n - 1) / n * np.sum(np.abs(jack - jack.mean(axis=0)) ** 2, axis=0)
+    quarter = sum(xc[: max(1, n // 4)].mean(axis=0) for xc in x)
+    return statistic(total), np.sqrt(variance), statistic(quarter)
 
 
 # -- Groebner, Bergman and ray-grid helpers on the package's own code ----------

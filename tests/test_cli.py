@@ -665,6 +665,45 @@ def test_chart_off_its_variety_is_a_config_error(tmp_path, capsys, command, sect
     assert not out.exists()
 
 
+DOUBLE_LINE = json.loads(config_path("conic_double_line").read_text())
+# conic_double_line with two parameters on each chart
+TWO_PARAMS = {
+    section: [{**chart, "chart_vars": 2} for chart in DOUBLE_LINE[section]]
+    for section in ("fiber", "cycle")
+}
+# the surface xw = yz with a curve on it as fiber and a line on X_0 as cycle
+SURFACE = {
+    "variables": ["x", "y", "z", "w"],
+    "weights": [0, 0, 0, 1],
+    "generators": ["x*w - y*z"],
+    "fiber": [{"components": ["1", "u", "u", "u^2"]}],
+    "cycle": [{"components": ["1", "0", "u", "0"]}],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, command, section, count, n",
+    [
+        # n2 used to exit 3 on a NaN, ray and mass to exit 2 on a singular Gram matrix
+        (TWO_PARAMS, ["n2"], "cycle", 2, 1),
+        (TWO_PARAMS, ["ray"], "fiber", 2, 1),
+        # n2 and chow --numeric used to exit 3, as if the estimates disagreed
+        (SURFACE, ["n2"], "cycle", 1, 2),
+        (SURFACE, ["chow", "--numeric"], "cycle", 1, 2),
+        (SURFACE, ["report"], "cycle", 1, 2),
+    ],
+)
+def test_chart_parameter_count_must_be_the_dimension(
+    tmp_path, capsys, overrides, command, section, count, n
+):
+    path = write_config(tmp_path, **{**DOUBLE_LINE, "name": "probe", **overrides})
+    out = tmp_path / "out"
+    assert run([command[0], path, *command[1:], "--samples", "8192"], out) == 2
+    err = capsys.readouterr().err
+    assert f"{section}[0]: its parameter count {count} is not the dimension n = {n}" in err
+    assert not list(out.glob("*.json"))
+
+
 def test_ray_without_fiber(tmp_path, capsys):
     path = write_config(tmp_path)
     assert run(["ray", path, "--samples", "8192"], tmp_path) == 2

@@ -33,13 +33,16 @@ from kstab.spectra import graded_slice
 from conftest import config_path
 from oracles import (
     _base_weight,
+    batch_scatter,
     bergman_density,
     chart_jacobian,
     chart_values,
     fs_mass,
     fs_volume_density,
+    joint_jackknife,
     mc_integrate,
     monomials,
+    stratified_jackknife,
 )
 
 U = ("u",)
@@ -566,9 +569,47 @@ def test_n2_integral_matches_the_direct_evaluator_on_the_same_draws():
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
     _, _, per_chart = geometry._batch_means(cyc, triple, 20_000, 6)
-    mass, m1, m2 = sum(c.multiplicity * np.mean(rows, axis=0) for c, rows in zip(cyc, per_chart))
+    value, stderr, quarter = stratified_jackknife(cyc, per_chart, _n2_statistic)
     out = n2_integral(cyc, lam, 20_000, 6)
-    assert out.value == pytest.approx(m2 - m1 * m1 / mass, rel=1e-12, abs=0)
+    assert out.value == pytest.approx(value, rel=1e-12, abs=0)
+    # both charts vary, so each is a stratum of the jackknife
+    assert out.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    ratio = abs(quarter - value) / (5 * stderr)
+    assert out.consistency_ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+def _n2_statistic(t):
+    return t[2] - t[1] * t[1] / t[0]
+
+
+def test_n2_stderr_on_one_chart_is_the_joint_jackknife():
+    lam = [0.5, 0.25, -0.75]
+    own = geometry._chart_jet(CONIC)
+
+    def triple(chart, u, pdf):
+        w, V, _ = geometry._embedded_points(chart, *own, u, pdf)
+        h = np.abs(V) ** 2 @ lam
+        return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
+
+    _, _, per_chart = geometry._batch_means([CONIC], triple, 40_000, 2)
+    out = n2_integral([CONIC], lam, 40_000, 2)
+    assert out.stderr == pytest.approx(
+        joint_jackknife([CONIC], per_chart, _n2_statistic), rel=1e-12, abs=0
+    )
+
+
+def test_identity_estimator_is_the_per_chart_batch_scatter():
+    def mean(chart, u, pdf):
+        w, z = _base_weight(chart, u, pdf)
+        zhat = z[:, 1] / np.linalg.norm(z, axis=1)
+        return np.array([np.mean(w), np.mean(w * zhat), np.mean(w * np.abs(zhat) ** 4)])
+
+    charts = [LINE, chart("1", "u", "u^2", multiplicity=3)]
+    _, _, per_chart = geometry._batch_means(charts, mean, 20_000, 5)
+    value, stderr = batch_scatter(charts, per_chart)
+    out = mc_charts(charts, mean, 20_000, 5)
+    assert np.array_equal(out.value, value)
+    np.testing.assert_allclose(out.stderr, stderr, rtol=1e-12, atol=0)
 
 
 def test_n2_integral_shift_invariance():
