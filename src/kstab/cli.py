@@ -265,16 +265,33 @@ class Inputs:
         return fit_asymptotics(self.config)
 
     def charts(self, section: str) -> list[Chart]:
-        """The fiber or cycle charts; each must have n parameters, n = dim X."""
+        """The fiber or cycle charts, each of positive volume in dimension n = dim X.
+
+        A chart must have n parameters, and its jet [F; dF/du_1; ...;
+        dF/du_n] must reach rank n + 1 at one of three exact points, the
+        a-th parameter at (a + 2)^j / ((-1)^a (2j + 1)) for j = 1, 2, 3.  A
+        chart that drops rank at all three is taken to drop it everywhere,
+        where its Fubini-Study volume is zero.
+        """
         charts = getattr(self, section)
         if not charts:
             what = {"fiber": "parametrizing the variety", "cycle": "describing the flat limit"}
             raise ConfigError(f"this command needs a {section!r} section {what[section]}")
+        n = self.fit.n
         for i, chart in enumerate(charts):
-            if chart.dim != self.fit.n:
+            if chart.dim != n:
                 raise ConfigError(
                     f"{section}[{i}]: its parameter count {chart.dim} is not the "
-                    f"dimension n = {self.fit.n} of the variety"
+                    f"dimension n = {n} of the variety"
+                )
+            rank = max(
+                chart.jet_rank([Fraction((a + 2) ** j, (-1) ** a * (2 * j + 1)) for a in range(n)])
+                for j in (1, 2, 3)
+            )
+            if rank <= n:
+                raise ConfigError(
+                    f"{section}[{i}]: its jet [F; dF] has rank {rank}, not n + 1 = "
+                    f"{n + 1}, at every probe point, so it has zero volume"
                 )
         return charts
 
@@ -396,26 +413,13 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
     return payload, checks
 
 
-def _ambient_lambda(config: TestConfiguration) -> list[float]:
-    """k=1 traceless weights in ambient-variable order (the A_1 diagonal)."""
-    sl = graded_slice(config, 1)
-    lam = []
-    for j in range(len(config.variables)):
-        unit = tuple(1 if i == j else 0 for i in range(len(config.variables)))
-        if unit not in sl.monomials:
-            raise ConfigError(
-                "a variable is cut out at degree 1; n2 needs the full ambient frame"
-            )
-        lam.append(float(sl.a_spectrum[sl.monomials.index(unit)]))
-    return lam
-
-
 def _cmd_n2(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     cycle = inputs.charts("cycle")
     from .geometry import n2_integral
 
-    lam = _ambient_lambda(inputs.config)
-    result = n2_integral(cycle, lam, run.samples, run.seed)
+    sl = graded_slice(inputs.config, 1)
+    lam = [float(a) for a in sl.a_spectrum]
+    result = n2_integral(cycle, sl.monomials, lam, run.samples, run.seed)
     exact = inputs.fit.n2_sq
     scale = abs(float(exact)) or 1.0
     rel = abs(result.value - float(exact)) / scale

@@ -432,12 +432,14 @@ def embedded_mc(
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed,
+    statistic: Callable = lambda total: total,
 ) -> MCResult:
     """Monte Carlo integral over the cycle embedded by the sections gs_matrix @ m.
 
     reduce(w, V) gets the importance weights w (B,) of the FS volume of the
     embedded image and its unit points V (B, D), and returns the batch mean
-    of the integrand.
+    of the integrand; statistic is applied to the multiplicity-weighted
+    total as in mc_charts.
 
     The frame is folded into the pullbacks once, K = [M C_0; M C_1; ...],
     so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
@@ -451,7 +453,7 @@ def embedded_mc(
         w, V, _ = _embedded_points(chart, *folded[chart], u, pdf)
         return reduce(w, V)
 
-    return mc_charts(charts, mean, n_samples, seed)
+    return mc_charts(charts, mean, n_samples, seed, statistic)
 
 
 def moment_matrix(
@@ -487,26 +489,27 @@ def energy_derivative(moment: np.ndarray, generator: np.ndarray, n: int) -> floa
 
 def n2_integral(
     charts: Sequence[Chart],
+    exponents: np.ndarray,
     lambdas: Sequence[float],
     n_samples: int,
     seed,
 ) -> MCResult:
-    """Centered second moment of the Hamiltonian over the central cycle.
+    """Centered second moment of the Hamiltonian over the embedded cycle.
 
-    h(z) = sum lambda_a |z_a|^2 / |z|^2; the mean reference h-hat is taken
-    over the multiplicity-weighted cycle so the result is invariant under
-    lambda -> lambda + c.  Returns int (h - h_hat)^2 = m2 - m1^2 / mass,
-    the mc_charts statistic of the cycle's (mass, int h, int h^2).
+    The cycle is embedded by the monomial rows of exponents, as in
+    embedded_mc, and h = sum lambda_a |z_a|^2 / |z|^2 in that frame.  The
+    mean h-hat is taken over the multiplicity-weighted cycle, so the result
+    is invariant under lambda -> lambda + c.  Returns int (h - h_hat)^2 =
+    m2 - m1^2 / mass, the statistic of the cycle's (mass, int h, int h^2).
     """
     lam = np.asarray(lambdas, dtype=float)
-    if any(chart.ambient_count != len(lam) for chart in charts):
-        raise ValueError("diagonal length does not match ambient coordinates")
-    own = {chart: _chart_jet(chart) for chart in charts}
+    if len(lam) != len(exponents):
+        raise ValueError(f"{len(lam)} weights for {len(exponents)} exponent rows")
 
-    def triple(chart, u, pdf):
+    def triple(w, V):
         # per-batch (mass, int h, int h^2)
-        w, V, _ = _embedded_points(chart, *own[chart], u, pdf)
         h = np.abs(V) ** 2 @ lam
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
-    return mc_charts(charts, triple, n_samples, seed, lambda t: t[2] - t[1] * t[1] / t[0])
+    statistic = lambda t: t[2] - t[1] * t[1] / t[0]
+    return embedded_mc(charts, np.eye(len(lam)), exponents, triple, n_samples, seed, statistic)

@@ -290,6 +290,26 @@ class Chart:
     def ambient_count(self) -> int:
         return len(self.components)
 
+    def jet_rank(self, point: Sequence) -> int:
+        """Rank of the matrix [F; dF/du_1; ...; dF/du_d] at an exact point.
+
+        It is d + 1 exactly where the chart is an immersion into projective
+        space, which is where its Fubini-Study volume density is positive.
+        Rows are reduced in Fraction arithmetic against the earlier pivots.
+        """
+        jet = [self.components]
+        jet += [[c.differentiate(i) for c in self.components] for i in range(self.dim)]
+        pivots: list[tuple[int, list[Fraction]]] = []
+        for row in ([c.evaluate_exact(point) for c in group] for group in jet):
+            for col, pivot in pivots:
+                if row[col]:
+                    factor = row[col] / pivot[col]
+                    row = [a - factor * b for a, b in zip(row, pivot)]
+            col = next((j for j, a in enumerate(row) if a), None)
+            if col is not None:
+                pivots.append((col, row))
+        return len(pivots)
+
 
 # -- parsing ----------------------------------------------------------------
 

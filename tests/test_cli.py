@@ -704,6 +704,63 @@ def test_chart_parameter_count_must_be_the_dimension(
     assert not list(out.glob("*.json"))
 
 
+# P^2 with nothing cut out and a two-parameter chart whose image is a line:
+# chow --numeric used to exit 0 on a vacuous check, n2 to exit 3, and ray
+# and mass to exit 2 on an unnamed singular Gram matrix
+FLAT_CHART = {"chart_vars": 2, "components": ["1", "u + v", "0"]}
+
+
+@pytest.mark.parametrize(
+    "command", [["n2"], ["chow", "--numeric"], ["ray"], ["mass"], ["envelope"], ["report"]]
+)
+def test_chart_of_zero_volume_is_a_config_error(tmp_path, capsys, command):
+    path = write_config(
+        tmp_path, weights=[0, 1, 2], generators=[], fiber=[FLAT_CHART], cycle=[FLAT_CHART]
+    )
+    out = tmp_path / "out"
+    assert run([command[0], path, *command[1:], "--samples", "8192"], out) == 2
+    section = "fiber" if command[0] in ("ray", "mass", "envelope") else "cycle"
+    assert (
+        f"{section}[0]: its jet [F; dF] has rank 2, not n + 1 = 3, at every probe point"
+        in capsys.readouterr().err
+    )
+    assert not list(out.iterdir())
+
+
+# x - y cuts x out in degree 1, so N_2 is sampled in the frame (y, z); n2 and
+# report used to exit 2 on both
+LINEAR = {
+    # fiber [1:1:u], flat limit [0:1:u]
+    "plane_line": ([0, 1, 2], ["0", "1", "u"]),
+    # the weights tie x and y, so the line is its own flat limit
+    "tied_line": ([0, 0, 1], ["1", "1", "u"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR))
+def test_n2_and_report_take_a_linear_generator(tmp_path, name):
+    weights, cycle = LINEAR[name]
+    path = write_config(
+        tmp_path,
+        name=name,
+        weights=weights,
+        generators=["x - y"],
+        fiber=[{"components": ["1", "1", "u"]}],
+        cycle=[{"components": cycle}],
+    )
+    assert run(["n2", path, "--samples", "20000"], tmp_path) == 0
+    payload = load(tmp_path, f"{name}_n2")
+    assert payload["exact_n2_sq"] == "1/12"
+    assert payload["a_1_diagonal"] == [-0.5, 0.5]
+    assert check_names(payload) == ["n2.rel_error", "n2.consistency"]
+    assert failed(payload) == []
+    assert run(["report", path, "--samples", "20000"], tmp_path) != 2
+    checks = load(tmp_path, f"{name}_report")["checks"]
+    n2 = [check for check in checks if check["name"].startswith("n2.")]
+    assert [check["name"] for check in n2] == ["n2.rel_error", "n2.consistency"]
+    assert all(check["passed"] for check in n2)
+
+
 def test_ray_without_fiber(tmp_path, capsys):
     path = write_config(tmp_path)
     assert run(["ray", path, "--samples", "8192"], tmp_path) == 2

@@ -105,7 +105,7 @@ def test_engine_names_an_indeterminate_point(monkeypatch):
     exps = np.array([[2, 0], [1, 1], [0, 2]])
     runs = (
         lambda: gram_matrix([CUSP], exps, 2, 8192, 0),
-        lambda: n2_integral([CUSP], [0.5, -0.5], 8192, 0),
+        lambda: n2_integral([CUSP], np.eye(2, dtype=int), [0.5, -0.5], 8192, 0),
         lambda: moment_matrix([CUSP], np.eye(3), exps, 8192, 0),
     )
     for run in runs:
@@ -190,7 +190,7 @@ def test_worker_count_does_not_change_a_bit(estimate, two_lines, monkeypatch):
     runs = {
         "gram": lambda: gram_matrix(cycle, exps, 2, 20_000, 3)[1],
         "moment": lambda: moment_matrix(cycle, np.eye(len(exps)), exps, 20_000, 3)[1],
-        "n2": lambda: n2_integral(cycle, [1 / 3, 1 / 3, -2 / 3], 20_000, 3),
+        "n2": lambda: n2_integral(cycle, np.eye(3, dtype=int), [1 / 3, 1 / 3, -2 / 3], 20_000, 3),
         "chow": lambda: chow_weight_numeric(config, cycle, 2, 1, 20_000, 3),
     }
     results = {}
@@ -375,6 +375,10 @@ def test_gram_rejects_exponent_rows_that_do_not_fit():
         gram_matrix([LINE], [[2, 0], [1, 1]], 1, 8192, 0)
     with pytest.raises(ValueError, match=r"exponent row \[1, 0, 0\] has 3 entries for 2 chart"):
         embedded_mc([LINE], np.eye(1), [[1, 0, 0]], lambda w, V: np.mean(w), 8192, 0)
+    with pytest.raises(ValueError, match=r"^3 weights for 2 exponent rows$"):
+        n2_integral([LINE], np.eye(2, dtype=int), [1.0, 0.0, -1.0], 8192, 0)
+    with pytest.raises(ValueError, match=r"exponent row \[1, 0, 0\] has 3 entries for 2 chart"):
+        n2_integral([LINE], np.eye(3, dtype=int), [1.0, 0.0, -1.0], 8192, 0)
 
 
 def test_gram_reparametrized_line_matches_beta_law():
@@ -539,7 +543,7 @@ def test_n2_integral_double_line_cycle():
 
     lambdas = [-1 / 3, -1 / 3, 2 / 3]
     cyc = [chart("1", "0", "u", multiplicity=2)]
-    out = n2_integral(cyc, lambdas, 30_000, 0)
+    out = n2_integral(cyc, np.eye(3, dtype=int), lambdas, 30_000, 0)
     target = float(Fraction(1, 6))
     assert abs(out.value - target) <= max(5 * out.stderr, 0.02 * target)
 
@@ -552,30 +556,38 @@ def test_n2_integral_double_line_cycle():
 def test_n2_integral_two_lines_cycle():
     lambdas = [1 / 3, 1 / 3, -2 / 3]
     cyc = [chart("1", "u", "0"), chart("0", "1", "u")]
-    out = n2_integral(cyc, lambdas, 30_000, 0)
+    out = n2_integral(cyc, np.eye(3, dtype=int), lambdas, 30_000, 0)
     target = float(Fraction(5, 24))
     assert abs(out.value - target) <= max(5 * out.stderr, 0.02 * target)
 
 
 def test_n2_integral_matches_the_direct_evaluator_on_the_same_draws():
-    # (mass, int h, int h^2) per batch from the term-by-term chart evaluator
-    lam = np.array([0.5, 0.25, -0.75])
-    cyc = [CONIC, chart("0", "1 + u", "1 - u", multiplicity=2)]
+    # (mass, int h, int h^2) per batch from the term-by-term chart evaluator,
+    # run on the cycle as the frame of exponents sees it
+    two_charts = [CONIC, chart("0", "1 + u", "1 - u", multiplicity=2)]
+    cases = [
+        # the ambient frame; both charts vary, so each is a stratum of the jackknife
+        (two_charts, np.eye(3, dtype=int), (0.5, 0.25, -0.75), two_charts),
+        # a level-1 frame without x, as for x - y with x cut out in degree 1:
+        # the line [1:1:u] is sampled as its projection [1:u]
+        ([chart("1", "1", "u")], [[0, 1, 0], [0, 0, 1]], (-0.5, 0.5), [LINE]),
+    ]
+    for cyc, exponents, lam, projected in cases:
+        lam = np.array(lam)
 
-    def triple(chart, u, pdf):
-        w, z = _base_weight(chart, u, pdf)
-        sq = np.abs(z) ** 2
-        h = (sq @ lam) / np.sum(sq, axis=1)
-        return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
+        def triple(chart, u, pdf):
+            w, z = _base_weight(chart, u, pdf)
+            sq = np.abs(z) ** 2
+            h = (sq @ lam) / np.sum(sq, axis=1)
+            return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
-    _, _, per_chart = geometry._batch_means(cyc, triple, 20_000, 6)
-    value, stderr, quarter = stratified_jackknife(cyc, per_chart, _n2_statistic)
-    out = n2_integral(cyc, lam, 20_000, 6)
-    assert out.value == pytest.approx(value, rel=1e-12, abs=0)
-    # both charts vary, so each is a stratum of the jackknife
-    assert out.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
-    ratio = abs(quarter - value) / (5 * stderr)
-    assert out.consistency_ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+        _, _, per_chart = geometry._batch_means(projected, triple, 20_000, 6)
+        value, stderr, quarter = stratified_jackknife(projected, per_chart, _n2_statistic)
+        out = n2_integral(cyc, exponents, lam, 20_000, 6)
+        assert out.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert out.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+        ratio = abs(quarter - value) / (5 * stderr)
+        assert out.consistency_ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 def _n2_statistic(t):
@@ -592,7 +604,7 @@ def test_n2_stderr_on_one_chart_is_the_joint_jackknife():
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
     _, _, per_chart = geometry._batch_means([CONIC], triple, 40_000, 2)
-    out = n2_integral([CONIC], lam, 40_000, 2)
+    out = n2_integral([CONIC], np.eye(3, dtype=int), lam, 40_000, 2)
     assert out.stderr == pytest.approx(
         joint_jackknife([CONIC], per_chart, _n2_statistic), rel=1e-12, abs=0
     )
@@ -615,6 +627,6 @@ def test_identity_estimator_is_the_per_chart_batch_scatter():
 def test_n2_integral_shift_invariance():
     lambdas = np.array([-1 / 3, -1 / 3, 2 / 3])
     cyc = [chart("1", "0", "u", multiplicity=2)]
-    a = n2_integral(cyc, lambdas, 20_000, 4)
-    b = n2_integral(cyc, lambdas + 10.0, 20_000, 4)
+    a = n2_integral(cyc, np.eye(3, dtype=int), lambdas, 20_000, 4)
+    b = n2_integral(cyc, np.eye(3, dtype=int), lambdas + 10.0, 20_000, 4)
     assert a.value == pytest.approx(b.value, rel=1e-9)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kstab.polynomials import (
+    Chart,
     Polynomial,
     TermOrder,
     monomial_degree,
@@ -19,7 +20,7 @@ from kstab.polynomials import (
     parse_polynomial,
 )
 
-from oracles import evaluate_batch
+from oracles import _rank, evaluate_batch
 
 XYZ = ("x", "y", "z")
 
@@ -205,6 +206,26 @@ def test_compose_substitutes_components():
     assert poly("1/2*x^2 + 3").compose(on_conic) == poly("7/2", u)
     with pytest.raises(ValueError, match="2 components for 3 variables"):
         poly("x*z - y^2").compose(on_conic[:2])
+
+
+@pytest.mark.parametrize(
+    "params, components, point, rank",
+    [
+        (("u",), ("1", "u", "u^2"), (0,), 2),
+        (("u",), ("u", "u^2"), (0,), 1),  # the cusp: F = 0 at u = 0
+        (("u",), ("u", "u^2"), (Fraction(2, 3),), 2),
+        (("u",), ("1", "0", "u"), (5,), 2),
+        (("u", "v"), ("1", "u + v", "0"), (Fraction(2, 3), Fraction(-1, 3)), 2),
+        (("u", "v"), ("1", "u", "v", "u*v"), (Fraction(2, 3), Fraction(-1, 3)), 3),
+        (("u", "v"), ("u", "u*v", "u^2"), (0, 1), 1),
+    ],
+)
+def test_jet_rank_is_the_rank_of_the_exact_jet(params, components, point, rank):
+    chart = Chart(params=params, components=tuple(poly(c, params) for c in components))
+    assert chart.jet_rank(point) == rank
+    jet = [chart.components]
+    jet += [[c.differentiate(i) for c in chart.components] for i in range(len(params))]
+    assert _rank([[c.evaluate_exact(point) for c in row] for row in jet]) == rank
 
 
 @settings(max_examples=100, deadline=None)
