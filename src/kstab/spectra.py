@@ -9,29 +9,44 @@ generator, extremal eigenvalues) that the asymptotic layer interpolates.
 
 Slices are built degree by degree, each from the one below, so a level
 costs about its own dimension, not the count of all degree-k monomials.
-A slice is built in Python integers: its weights, dimension, total weight
-and trace of the squared weight generator.  The traceless spectrum, its
-squared trace and its two lowest eigenvalues are exact Fractions, computed
-from those integers when a reader first asks for them, so the interpolation
-and the Chow weights, which read only the integers, build no Fraction here.
+A slice is built in Python integers.  Each standard monomial is one
+integer key that holds its weight above one FIELD-bit field per exponent
+(the layout is in _next_level), so a candidate one degree up costs one
+integer add and a test against a lead one add and one mask.  The build
+pass counts the weights from the keys' top bits and gives the weights,
+dimension, total weight and trace of the squared weight generator.  The
+exponent tuples are decoded from the keys when a reader first asks for
+them, as the sampled route does and the exact route never does.  The
+traceless spectrum, its squared trace and its two lowest eigenvalues are
+exact Fractions, computed from the integers when a reader first asks for
+them, so the interpolation and the Chow weights, which read only the
+integers, build no Fraction here.
 One cache holds each configuration's levels, and every reader shares it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from math import comb
+from operator import mul
 
 from .groebner import buchberger, leading_exponent_set, standard_monomials
-from .polynomials import Exponents, Polynomial, TermOrder, monomial_divides, monomial_weight
+from .polynomials import Exponents, Polynomial, TermOrder
 from .polynomials import parse_polynomial
 
 # levels 1..k of N+1 variables hold at most C(k+N+1, N+1) monomials (all of
 # degree <= k); a request above this count is refused before anything is built
 MAX_MONOMIALS = 10**6
+# A slice key gives each variable a fixed FIELD bits, the top one a guard, so
+# an exponent may reach MAX_EXPONENT.  MAX_MONOMIALS admits no level above
+# 1412 (two variables); graded_slice refuses a level the field cannot hold.
+FIELD = 16
+MAX_EXPONENT = (1 << FIELD - 1) - 1
 
 
 def top_level(nvars: int) -> int:
@@ -117,25 +132,36 @@ class TestConfiguration:
 class GradedSlice:
     """Degree-k slice data of a test configuration.
 
-    The fields are integers.  monomials are the standard monomials ordered
-    by (weight, exponents), and b_spectrum their raw weights in that order
-    (the diagonal of the weight generator on the slice), so ascending;
-    tr_b_sq is sum(b^2).
+    The fields are integers.  b_spectrum holds the weights of the standard
+    monomials in (weight, exponents) order (the diagonal of the weight
+    generator on the slice), so ascending; tr_b_sq is sum(b^2).  keys holds
+    the monomials' integer keys (see _next_level), one tuple per last
+    variable: keys[i] the monomials whose last nonzero exponent is the i-th.
 
-    The traceless data are exact Fractions, computed from the fields on
-    first read and cached on the slice; equality and hashing ignore them.
-    a_spectrum is the shift b - w/d, tr_a_sq the trace of the squared
-    traceless generator, sum(b^2) - w^2/d, and lambda_min and lambda_next
-    the two lowest distinct entries of a_spectrum (lambda_next None when
-    the slice has a single weight).
+    monomials, the standard monomials' exponent tuples in the same order as
+    b_spectrum, are decoded from the keys on first read; the exact route
+    never reads them.  The traceless data are exact Fractions, computed from
+    the fields on first read.  Both are cached on the slice, and equality
+    and hashing ignore them.  a_spectrum is the shift b - w/d, tr_a_sq the
+    trace of the squared traceless generator, sum(b^2) - w^2/d, and
+    lambda_min and lambda_next the two lowest distinct entries of
+    a_spectrum (lambda_next None when the slice has a single weight).
     """
 
     k: int
-    monomials: tuple[Exponents, ...]
     b_spectrum: tuple[int, ...]
     dim: int
     total_weight: int
     tr_b_sq: int
+    keys: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def monomials(self) -> tuple[Exponents, ...]:
+        shifts = [FIELD * j for j in reversed(range(len(self.keys)))]
+        return tuple(
+            tuple((key >> s) & MAX_EXPONENT for s in shifts)
+            for key in sorted(chain.from_iterable(self.keys))
+        )
 
     def _traceless(self, b: int) -> Fraction:
         return Fraction(self.dim * b - self.total_weight, self.dim)
@@ -175,6 +201,8 @@ def graded_slice(config: TestConfiguration, k: int) -> GradedSlice:
             f"level {k} is too high: {nvars} variables have {comb(k + nvars, nvars)}"
             f" monomials of degree <= {k}, above the limit of {MAX_MONOMIALS}"
         )
+    if k > MAX_EXPONENT:
+        raise ValueError(f"level {k} is too high: a slice key holds exponents up to {MAX_EXPONENT}")
     levels = _levels(config)
     while len(levels) < k:
         levels.append(_next_level(config, levels[-1] if levels else None))
@@ -184,38 +212,60 @@ def graded_slice(config: TestConfiguration, k: int) -> GradedSlice:
 def _next_level(config: TestConfiguration, below: GradedSlice | None) -> GradedSlice:
     """The slice one degree above `below`, or level 1 (a scan) when it is None.
 
+    A degree-k monomial e is held as one integer key,
+    (b - k min eta) << FIELD*nvars | e_0 << FIELD*(nvars-1) | ... | e_last,
+    with b = eta . e: the weight, offset to be non-negative, above one
+    FIELD-bit field per exponent, variable 0 the most significant.  Plain
+    int order on keys is then the (weight, exponents) order.
+
     A standard monomial e with last variable x_i is x_i * m for a standard
     m = e / x_i one degree lower, as standard monomials form an order ideal.
-    So x_i * m over the m below and the i at or past m's last variable
-    reaches each candidate once; it is kept unless an initial lead divides
-    it, and its weight is w(m) + eta_i.
+    So x_i * m over the m below whose last variable is at most i reaches
+    each candidate once; its key is m's key plus step[i], which adds
+    eta_i - min eta to the weight and 1 to the i-th field.  It is kept
+    unless an initial lead with a positive i-th exponent divides it.  A
+    lead divides e iff subtracting it from e | guard leaves every guard
+    bit (the top bit of each field) set; as no key sets a guard bit, that
+    is (key + gap) & guard == guard with gap = guard - packed(lead).  The
+    keys are grouped by last variable and left unsorted: the weights are
+    counted from the keys' top bits, and only GradedSlice.monomials sorts.
     """
     eta = config.weights
     nvars = len(eta)
+    low = min(eta)
+    top = FIELD * nvars
+    unit = [1 << FIELD * j for j in reversed(range(nvars))]
+    step = [(eta[i] - low) << top | unit[i] for i in range(nvars)]
+    guard = sum(unit) << FIELD - 1
+    gaps = [
+        [guard - sum(map(mul, lead, unit)) for lead in config.initial_leads if lead[i]]
+        for i in range(nvars)
+    ]
     if below is None:
-        ones = standard_monomials(config.initial_leads, nvars, 1)
-        pairs = sorted((monomial_weight(m, eta), m) for m in ones)
+        k = 1
+        groups = [[] for _ in step]
+        for m in standard_monomials(config.initial_leads, nvars, 1):
+            i = m.index(1)
+            groups[i].append(step[i])  # the key of x_i
     else:
-        # only a lead with a positive i-th exponent can divide x_i * m but not m
-        leads = [[lead for lead in config.initial_leads if lead[i]] for i in range(nvars)]
-        pairs = []
-        for b, m in zip(below.b_spectrum, below.monomials):
-            last = nvars - 1
-            while not m[last]:
-                last -= 1
-            for i in range(last, nvars):
-                e = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                if not any(monomial_divides(lead, e) for lead in leads[i]):
-                    pairs.append((b + eta[i], e))
-        pairs.sort()
-    b_spectrum = tuple(b for b, _ in pairs)
+        k = below.k + 1
+        groups = []
+        for i, s in enumerate(step):
+            kept = [m + s for run in below.keys[: i + 1] for m in run]
+            for gap in gaps[i]:
+                kept = [key for key in kept if (key + gap) & guard != guard]
+            groups.append(kept)
+    counts = Counter([key >> top for run in groups for key in run])
+    weights = sorted(counts)
+    b = [w + k * low for w in weights]
+    c = list(map(counts.__getitem__, weights))
     return GradedSlice(
-        k=1 if below is None else below.k + 1,
-        monomials=tuple(m for _, m in pairs),
-        b_spectrum=b_spectrum,
-        dim=len(pairs),
-        total_weight=sum(b_spectrum),
-        tr_b_sq=sum(b * b for b in b_spectrum),
+        k=k,
+        b_spectrum=tuple(chain.from_iterable(map(repeat, b, c))),
+        dim=sum(c),
+        total_weight=sum(map(mul, b, c)),
+        tr_b_sq=sum(map(mul, map(mul, b, b), c)),
+        keys=tuple(map(tuple, groups)),
     )
 
 

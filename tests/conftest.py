@@ -8,9 +8,11 @@ All seeds are fixed; every value asserted downstream is reproducible.
 from __future__ import annotations
 
 import importlib.resources
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from kstab import TestConfiguration
 from kstab import (
@@ -28,6 +30,11 @@ RAY_LEVELS = (4, 8, 16)
 
 # the class name matches pytest's collection pattern; it is not a test
 TestConfiguration.__test__ = False
+
+# CI runs the property tests derandomized and prints the blob that replays a
+# failure; local runs keep drawing fresh examples
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def config_path(name: str) -> Path:

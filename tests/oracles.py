@@ -100,20 +100,30 @@ def quotient_dimension(term_dicts: list[TermDict], nvars: int, k: int) -> int:
     return len(cols) - _rank(rows)
 
 
+def standard_pairs(
+    leads: list[tuple[int, ...]], nvars: int, weights: tuple[int, ...], k: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Sorted (eta-weight, exponents) of degree-k monomials outside the monomial ideal.
+
+    Divisibility by ``leads`` is checked directly on every degree-k monomial,
+    so neither the production leading-term machinery nor its degree-by-degree
+    build is involved.
+    """
+    return sorted(
+        (sum(w * e for w, e in zip(weights, m)), m)
+        for m in monomials(nvars, k)
+        if not any(all(li <= mi for li, mi in zip(lead, m)) for lead in leads)
+    )
+
+
 def standard_weights(
     leads: list[tuple[int, ...]], nvars: int, weights: tuple[int, ...], k: int
 ) -> list[int]:
     """Sorted eta-weights of degree-k monomials outside the monomial ideal.
 
-    ``leads`` is supplied by hand per fixture; divisibility is checked
-    directly so the production leading-term machinery is never involved.
+    ``leads`` is supplied by hand per fixture.
     """
-    out = []
-    for m in monomials(nvars, k):
-        if any(all(li <= mi for li, mi in zip(lead, m)) for lead in leads):
-            continue
-        out.append(sum(w * e for w, e in zip(weights, m)))
-    return sorted(out)
+    return [b for b, _ in standard_pairs(leads, nvars, weights, k)]
 
 
 def scanned_slice(config, k: int) -> dict:
@@ -123,11 +133,7 @@ def scanned_slice(config, k: int) -> dict:
     and each weight is shifted by the mean as its own Fraction, a different
     route from the package's degree-by-degree integer build.
     """
-    pairs = sorted(
-        (sum(w * e for w, e in zip(config.weights, m)), m)
-        for m in monomials(len(config.variables), k)
-        if not any(all(li <= mi for li, mi in zip(lead, m)) for lead in config.initial_leads)
-    )
+    pairs = standard_pairs(config.initial_leads, len(config.variables), config.weights, k)
     b = tuple(w for w, _ in pairs)
     dim, total = len(b), sum(b)
     mean = Fraction(total, dim)

@@ -442,6 +442,19 @@ def test_operator_norm_budget():
     assert dl["budget"] == Fraction(5, 2)
 
 
+def test_operator_norm_sweep_on_the_p5_quadric():
+    # levels 1..26 of six variables, the highest below MAX_MONOMIALS
+    config = TestConfiguration.from_strings(
+        "p5-quadric", ("a", "b", "c", "d", "e", "f"), (0, 1, 1, 2, 3, 4), ("a*f - b*e + c*d",)
+    )
+    assert spectra.top_level(6) == 26
+    try:
+        out = operator_norm_check(config, 26, fit_asymptotics(config))
+        assert out == {"C_star": Fraction(13, 6), "budget": Fraction(69, 10), "pass": True}
+    finally:
+        spectra._levels.cache_clear()  # release the 26 levels
+
+
 def test_fit_eventually_polynomial_window():
     fit = fit_eventually_polynomial(
         lambda k: Fraction(k * k) if k >= 4 else Fraction(999), 2

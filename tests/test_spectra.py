@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kstab import TestConfiguration, graded_slice, parse_polynomial, spectrum_table
+from kstab import Polynomial, TestConfiguration, graded_slice, parse_polynomial, spectrum_table
 from kstab import spectra
 
 import oracles
@@ -176,8 +177,71 @@ def test_high_level_is_built_without_recursion(monkeypatch):
     try:
         s = graded_slice(conic((0, 0, 1), name="conic-high"), 1500)
         assert (s.dim, s.total_weight) == (2 * 1500 + 1, 1500**2)
+        # an exponent field too narrow for 1500 would carry into its neighbour
+        assert all(sum(m) == 1500 for m in s.monomials)
+        assert s.monomials[0] == (1499, 1, 0)  # weight 0, y^2 is the lead
+        assert s.monomials[-1] == (0, 0, 1500)
+        assert [m[2] for m in s.monomials] == list(s.b_spectrum)
     finally:
         spectra._levels.cache_clear()  # release the 1500 levels
+
+
+def test_level_above_the_exponent_field_is_refused(monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_MONOMIALS", 10**12)
+    config = p1((0, 1), name="p1-field")
+    with pytest.raises(ValueError, match="a slice key holds exponents up to"):
+        graded_slice(config, spectra.MAX_EXPONENT + 1)
+    assert spectra._levels(config) == []
+
+
+def monomial_ideal(leads, weights, name="monomial-ideal"):
+    nvars = len(weights)
+    variables = tuple(f"x{i}" for i in range(nvars))
+    generators = tuple(Polynomial(nvars, {lead: 1}) for lead in leads)
+    return TestConfiguration(name, variables, weights, generators)
+
+
+@st.composite
+def monomial_ideals(draw):
+    nvars = draw(st.integers(2, 5))
+    # a lead of degree 1-3 is the product of 1-3 drawn variables
+    factors = st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3)
+    lead = factors.map(lambda idx: tuple(idx.count(i) for i in range(nvars)))
+    leads = draw(st.lists(lead, min_size=1, max_size=4))
+    weights = tuple(draw(st.lists(st.integers(-5, 5), min_size=nvars, max_size=nvars)))
+    return leads, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_ideals())
+def test_slices_match_brute_force_on_monomial_ideals(drawn):
+    leads, weights = drawn
+    try:
+        config = monomial_ideal(leads, weights)
+    except ValueError as err:
+        assert "empty scheme" in str(err)
+        return
+    for k in range(1, 8):
+        s = graded_slice(config, k)
+        pairs = oracles.standard_pairs(leads, len(weights), weights, k)
+        assert (s.b_spectrum, s.monomials) == tuple(zip(*pairs)), k
+        assert (s.dim, s.total_weight) == (len(s.b_spectrum), sum(s.b_spectrum))
+        assert s.tr_b_sq == sum(b * b for b in s.b_spectrum)
+
+
+@pytest.mark.parametrize(
+    "leads, weights",
+    [
+        ([(0, 2, 0)], (10**6, -(10**6) + 3, 7)),
+        ([(1, 1, 0, 0), (0, 0, 2, 1)], (-(10**6), 10**6 - 1, 999_983, -5)),
+    ],
+)
+def test_slices_with_large_weights_match_brute_force(leads, weights):
+    config = monomial_ideal(leads, weights, name="large-weights")
+    for k in range(1, 8):
+        s = graded_slice(config, k)
+        pairs = oracles.standard_pairs(leads, len(weights), weights, k)
+        assert (s.b_spectrum, s.monomials) == tuple(zip(*pairs)), k
 
 
 def test_level_above_the_monomial_limit_is_refused():
