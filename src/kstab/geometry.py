@@ -17,11 +17,15 @@ batch) order, so every result is bit-identical whatever the worker count.
 Sections are evaluated on a chart through their exact pullbacks: each
 degree-k monomial m_a(F(u)) and its derivative in u are expanded once per
 estimate, in exact arithmetic, over one basis of u-monomials.  A batch then
-costs one scaled power table u^alpha / rho^top (rho = max(1, |u|_inf), so
-every entry is at most 1) and one matrix product with the coefficients.
+costs one power table x^alpha (x = u / rho, rho = max(1, |u|_inf)) and one
+matrix product per coefficient block.  A block of top degree m takes the
+rows of degree at most m scaled by rho^(|alpha| - m), so every entry is at
+most 1.  The coefficients are real, so a block without a complex frame in
+it multiplies the table's float view, half the flops of a complex product.
 The chart's own measure takes the same route: its coordinates are the
-level-1 sections, so the FS weight of the chart and that of its image
-under a section frame come from one folded jet and one density.
+level-1 sections.  A Gram batch lays the chart's jet [F; dF] and the
+level-k sections over one basis and shares one table between them, each
+block with its own scale, so F and the sections cost one table per draw.
 """
 
 from __future__ import annotations
@@ -44,15 +48,15 @@ PIVOT_FLOOR = 1e-10
 # -- Fubini-Study density -----------------------------------------------------
 
 
-def fs_density_values(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+def fs_density_values(z: np.ndarray, dz: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Pullback FS volume density of a holomorphic map from its jet.
 
-    z has shape (N, B) and dz shape (d, N, B), one column per point; the
+    z has shape (N, B) and dz shape (d, N, B), one column per point, and
+    S = |z|^2 (B,) is passed in, as every caller has it already; the
     result (B,) is (1/pi^d) det(g) with g_ij = <dz_i,dz_j>/S -
-    <dz_i,z><z,dz_j>/S^2 and S = |z|^2.  Sums run over the short N axis,
-    and S^2 is never formed.  Indeterminate points (S = 0) raise.
+    <dz_i,z><z,dz_j>/S^2.  Sums run over the short N axis, and S^2 is never
+    formed.  Indeterminate points (S = 0) raise.
     """
-    S = _squared_norms(z)
     if np.any(S <= 0):
         raise ValueError("indeterminate point: all components vanish")
     mixed = np.einsum("iab,ab->ib", dz, z.conj()) / S
@@ -235,10 +239,11 @@ def monomial_values(exponents: np.ndarray, zhat: np.ndarray) -> np.ndarray:
 
 
 class _PowerBasis:
-    """The u-monomials of a pullback, closed downward and sorted by degree.
+    """The u-monomials of some pullbacks, closed downward and sorted by degree.
 
     Every row after the first is an earlier row times one coordinate, so
-    monomial_jet fills its power table by one multiplication per row.
+    monomial_jet fills its power table by one multiplication per row.  The
+    rows of degree at most m are a prefix, rows[:starts[m + 1]].
     """
 
     def __init__(self, support, d: int):
@@ -246,22 +251,27 @@ class _PowerBasis:
         for alpha in support:
             rows.update(itertools.product(*(range(a + 1) for a in alpha)))
         self.exponents = sorted(rows, key=lambda alpha: (sum(alpha), alpha))
-        index = {alpha: j for j, alpha in enumerate(self.exponents)}
+        self.index = {alpha: j for j, alpha in enumerate(self.exponents)}
         self.steps = []  # (row, earlier row, coordinate) for rows 1..P-1
         for j, alpha in enumerate(self.exponents[1:], start=1):
             i = next(i for i, a in enumerate(alpha) if a)
-            self.steps.append((j, index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]], i))
+            self.steps.append((j, self.index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]], i))
         self.top = max(map(sum, support), default=0)
         # rows of degree m are starts[m]:starts[m + 1]
         self.starts = np.searchsorted([sum(alpha) for alpha in self.exponents], range(self.top + 2))
 
 
-def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray, own=None) -> tuple:
     """K @ U at a (B, d) batch, one column per point, and log(rho^top) per point.
 
-    U (P, B) is the power table u^alpha / rho^top over the basis rows, with
-    rho = max(1, max_i |u_i|), so its entries are at most 1 in modulus.  K
-    (G, P) stacks pullback coefficients (_pullback), any frame folded in.
+    The power table x^alpha, x = u / rho with rho = max(1, max_i |u_i|), is
+    built once over the basis rows.  U (P, B) is that table scaled to
+    u^alpha / rho^top, so its entries are at most 1 in modulus.  K (G, P)
+    stacks pullback coefficients (_pullback), any frame folded in.
+    own = (K_own, m) is a second block on the same table, over the rows of
+    degree at most m, scaled by rho^-m instead: a chart's jet keeps its own
+    scale, which the sections' rho^-top could underflow far out.  With it
+    the result goes on with K_own @ U_own and log(rho^m).
     """
     rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
     x = (u / rho[:, None]).T.copy()
@@ -269,20 +279,43 @@ def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray) -> tuple[np.n
     U[0] = 1.0
     for j, lower, i in basis.steps:
         np.multiply(U[lower], x[i], out=U[j])
-    scale = np.ones(len(u))
-    for m in range(basis.top - 1, -1, -1):
+    log_rho = np.log(rho)
+    second = ()
+    if own is not None:
+        K_own, m = own
+        rows = U[: basis.starts[m + 1]].copy()  # scaled apart, before U is scaled in place
+        second = (_times(K_own, _scale_rows(rows, basis.starts, m, rho)), m * log_rho)
+        del rows  # freed before the sections' product is formed
+    U = _scale_rows(U, basis.starts, basis.top, rho)
+    return (_times(K, U), basis.top * log_rho, *second)
+
+
+def _scale_rows(U: np.ndarray, starts, m: int, rho: np.ndarray) -> np.ndarray:
+    """The table rows x^alpha of degree at most m times rho^(|alpha| - m), in place."""
+    scale = np.ones(len(rho))
+    for degree in range(m - 1, -1, -1):
         scale /= rho
-        U[basis.starts[m] : basis.starts[m + 1]] *= scale
-    return K @ U, basis.top * np.log(rho)
+        U[starts[degree] : starts[degree + 1]] *= scale
+    return U
 
 
-def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBasis, np.ndarray]:
+def _times(K: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """K @ U for a complex table U; a real K multiplies U's float view, half the flops."""
+    if np.iscomplexobj(K):
+        return K @ U
+    return (K @ U.view(float)).view(complex)
+
+
+def _pullback(
+    chart: Chart, exponents: np.ndarray, jet: bool, also=()
+) -> tuple[_PowerBasis, np.ndarray]:
     """Exact pullbacks m_a(F(u)) of the monomial rows along a chart.
 
-    Returns the basis of the u-monomials that occur and coeffs (1 + d, D,
-    P): the coefficients, over the basis rows, of the pullbacks (index 0)
-    and, when jet is set, of their partials by u_1..u_d (index i); otherwise
-    coeffs has the first slice only.
+    Returns the basis of the u-monomials that occur, and of the exponents
+    in also, and the float64 coeffs (1 + d, D, P): the coefficients, over
+    the basis rows, of the pullbacks (index 0) and, when jet is set, of
+    their partials by u_1..u_d (index i); otherwise coeffs has the first
+    slice only.
     """
     d = chart.dim
     values = []
@@ -294,13 +327,12 @@ def _pullback(chart: Chart, exponents: np.ndarray, jet: bool) -> tuple[_PowerBas
             )
         values.append(Polynomial.monomial(len(row), row).compose(chart.components))
     groups = [values] + ([[p.differentiate(i) for p in values] for i in range(d)] if jet else [])
-    basis = _PowerBasis([alpha for p in values for alpha in p.terms], d)
-    row = {alpha: j for j, alpha in enumerate(basis.exponents)}
-    coeffs = np.zeros((len(groups), len(exponents), len(basis.exponents)), dtype=complex)
+    basis = _PowerBasis([alpha for p in values for alpha in p.terms] + list(also), d)
+    coeffs = np.zeros((len(groups), len(exponents), len(basis.exponents)))
     for g, group in enumerate(groups):
         for a, p in enumerate(group):
             for alpha, c in p.terms.items():
-                coeffs[g, a, row[alpha]] = float(c)
+                coeffs[g, a, basis.index[alpha]] = float(c)
     return basis, coeffs
 
 
@@ -311,17 +343,16 @@ def _chart_jet(chart: Chart) -> tuple[_PowerBasis, np.ndarray]:
 
 
 def _embedded_points(
-    chart: Chart, basis: _PowerBasis, K: np.ndarray, u: np.ndarray, pdf: np.ndarray
+    chart: Chart, jet: np.ndarray, u: np.ndarray, pdf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Importance weights w (B,), unit points V (B, D) and log|W| (B,) of a batch.
+    """Importance weights w (B,), sections W (D, B) and S = |W|^2 (B,) of a batch.
 
-    K is a folded jet: K @ U stacks sections W along the chart over their
-    partials dW, and w weighs the FS volume of the chart's image under W.
-    With _chart_jet that is the chart's own measure, V = z/|z| and log|W| =
-    log|F(u)|.  The 1/rho^top of monomial_jet cancels in the density and is
-    restored in log|W|.
+    jet is a folded jet K @ U from monomial_jet: sections W along the chart
+    over their partials dW, and w weighs the FS volume of the chart's image
+    under W.  With _chart_jet that is the chart's own measure and W =
+    F(u) / rho^top.  The table's scale cancels in w; callers that need the
+    unit points W / sqrt(S) or log|W| form them from W, S and the scale.
     """
-    jet, log_scale = monomial_jet(basis, K, u)
     jet = jet.reshape(1 + chart.dim, -1, len(u))
     W = jet[0]
     S = _squared_norms(W)
@@ -329,9 +360,8 @@ def _embedded_points(
         F = monomial_jet(*_chart_jet(chart), u[S == 0])[0][: chart.ambient_count]
         if np.all(np.any(F != 0, axis=0)):
             raise ValueError("embedded point vanished: sections do not span here")
-    dens = fs_density_values(W, jet[1:])  # raises at an indeterminate point
-    W /= np.sqrt(S)
-    return dens / pdf, W.T, 0.5 * np.log(S) + log_scale
+    dens = fs_density_values(W, jet[1:], S)  # raises at an indeterminate point
+    return dens / pdf, W, S
 
 
 def _weighted_outer_mean(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -356,25 +386,42 @@ def gram_matrix(
     The integrand m_a(z) conj(m_b(z)) / |z|^(2k) is evaluated as m(z/|z|),
     which is bounded, and the estimate is Hermitian by construction.  On a
     chart m(z/|z|) = (C_0 @ U) rho^top / |F(u)|^k with C_0 the pullbacks
-    and U their scaled power table (monomial_jet); the factor is formed in
-    log space.  The weights and log|F(u)| come from the chart's own jet.
+    and U their scaled power table; the factor is formed in log space.  The
+    weights and log|F(u)| come from the chart's own jet [F; dF], laid out
+    over the same basis as C_0, so each draw builds one table for both
+    (monomial_jet with own): the jet on its rows up to deg F scaled by
+    rho^-deg F, the sections on all rows scaled by rho^-top.
     """
     exponents = np.asarray(exponents, dtype=int)
     for row in exponents:
         if row.sum() != k:
             raise ValueError(f"exponent row {row.tolist()} does not have degree k = {k}")
-    own = {chart: _chart_jet(chart) for chart in charts}
-    pulled = {chart: _pullback(chart, exponents, jet=False) for chart in charts}
+    tables = {chart: _shared_table(chart, exponents) for chart in charts}
 
     def mean(chart, u, pdf):
-        w, _, log_norm = _embedded_points(chart, *own[chart], u, pdf)
-        basis, coeffs = pulled[chart]
-        V, log_scale = monomial_jet(basis, coeffs[0], u)
-        V *= np.exp(log_scale - k * log_norm)
+        basis, C, own = tables[chart]
+        V, log_scale, jet, log_own = monomial_jet(basis, C, u, own)
+        w, _, S = _embedded_points(chart, jet, u, pdf)
+        del jet, _  # the outer mean's copy of V then fits where the table was
+        V *= np.exp(log_scale - k * (0.5 * np.log(S) + log_own))
         return _weighted_outer_mean(w, V.T)
 
     result = mc_charts(charts, mean, n_samples, seed)
     return hermitian_part(result.value), result
+
+
+def _shared_table(chart: Chart, exponents: np.ndarray) -> tuple[_PowerBasis, np.ndarray, tuple]:
+    """One basis for the section pullbacks C_0 and the chart's jet [F; dF].
+
+    The basis is the downward closure of both supports.  Returns it, C_0
+    over all its rows, and own = ([F; dF] over the rows of degree at most
+    deg F, deg F) for monomial_jet.
+    """
+    jet_basis, jet = _chart_jet(chart)
+    basis, C = _pullback(chart, exponents, jet=False, also=jet_basis.exponents)
+    own = np.zeros((len(jet), basis.starts[jet_basis.top + 1]))
+    own[:, [basis.index[alpha] for alpha in jet_basis.exponents]] = jet
+    return basis, C[0], (own, jet_basis.top)
 
 
 def hermitian_part(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -443,15 +490,19 @@ def embedded_mc(
 
     The frame is folded into the pullbacks once, K = [M C_0; M C_1; ...],
     so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
-    their partials dW by u_1..u_d.
+    their partials dW by u_1..u_d.  The pullbacks are real, so K is real
+    for a real frame (the identity of n2_integral and chow_weight_numeric)
+    and takes the real product; a complex frame makes K complex.
     """
     exponents = np.asarray(exponents, dtype=int)
     pulled = {chart: _pullback(chart, exponents, jet=True) for chart in charts}
     folded = {chart: (basis, np.concatenate(gs_matrix @ C)) for chart, (basis, C) in pulled.items()}
 
     def mean(chart, u, pdf):
-        w, V, _ = _embedded_points(chart, *folded[chart], u, pdf)
-        return reduce(w, V)
+        basis, K = folded[chart]
+        w, W, S = _embedded_points(chart, monomial_jet(basis, K, u)[0], u, pdf)
+        W /= np.sqrt(S)
+        return reduce(w, W.T)
 
     return mc_charts(charts, mean, n_samples, seed, statistic)
 

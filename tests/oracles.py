@@ -414,7 +414,7 @@ def fs_volume_density(chart: Chart, u: np.ndarray) -> np.ndarray:
     if u.ndim == 1:
         u = u[:, None]
     z, dz = chart_values(chart, u), chart_jacobian(chart, u)
-    return fs_density_values(z.T, np.moveaxis(dz, 0, -1))
+    return fs_density_values(z.T, np.moveaxis(dz, 0, -1), np.sum(np.abs(z) ** 2, axis=1))
 
 
 def _base_weight(chart: Chart, u: np.ndarray, pdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

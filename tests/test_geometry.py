@@ -87,7 +87,9 @@ def test_conic_density_matches_quadrature_oracle_pointwise():
 def test_indeterminate_point_raises():
     # point-last: z is (N, B), dz is (d, N, B)
     with pytest.raises(ValueError, match="indeterminate"):
-        fs_density_values(np.zeros((2, 1), dtype=complex), np.array([[[1.0 + 0j], [0.0 + 0j]]]))
+        fs_density_values(
+            np.zeros((2, 1), dtype=complex), np.array([[[1.0 + 0j], [0.0 + 0j]]]), np.zeros(1)
+        )
     with pytest.raises(ValueError, match="indeterminate"):
         fs_volume_density(CUSP, np.array([[0.0 + 0.0j]]))
 
@@ -328,24 +330,113 @@ def test_monomial_values_and_jet_exact():
         assert np.array_equal(geometry._pullback(fiber, exps, jet=False)[1], coeffs[:1])
 
 
+def _conic_level(k):
+    """Standard monomials of x*z - y^2 at degree k: y-degree at most one."""
+    return np.array([[a, e, k - a - e] for e in (0, 1) for a in range(k + 1 - e)])
+
+
+_DRAW = geometry._draw_batch
+
+
+def _far_draw(rng, size, d):
+    """The FS-law batch with its first 64 draws moved out to |u_i| = 1e8."""
+    u, pdf = _DRAW(rng, size, d)
+    u[:64] = 1e8 * np.exp(2j * pi * np.arange(64) / 64)[:, None]
+    return u, pdf
+
+
 def test_far_draws_at_high_pulled_back_degree_stay_finite(monkeypatch):
     # |u| = 1e8 at pulled-back degree 48: u^48 alone overflows a float
-    draw = geometry._draw_batch
-
-    def far(rng, size, d):
-        u, pdf = draw(rng, size, d)
-        u[:64] = 1e8 * np.exp(2j * pi * np.arange(64) / 64)[:, None]
-        return u, pdf
-
-    monkeypatch.setattr(geometry, "_draw_batch", far)
+    monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
     k = 24
-    exps = np.array([[a, e, k - a - e] for e in (0, 1) for a in range(k + 1 - e)])
+    exps = _conic_level(k)
     assert geometry._pullback(CONIC, exps, jet=True)[0].top == 2 * k
     G, gram_mc = gram_matrix([CONIC], exps, k, 8192, 4)
     M, moment_mc = moment_matrix([CONIC], np.eye(len(exps)), exps, 8192, 4)
     for value in (G, gram_mc.stderr, M, moment_mc.stderr):
         assert np.all(np.isfinite(value))
     assert abs(np.trace(M).real - 2 * k) <= 5 * float(np.sum(np.diag(moment_mc.stderr))) + 1e-9
+
+
+def _separate_tables_mean(fiber, exps, k):
+    """A Gram batch mean with one power table for the chart's jet and another for the sections."""
+    own = geometry._chart_jet(fiber)
+    basis, C = geometry._pullback(fiber, exps, jet=False)
+
+    def mean(chart, u, pdf):
+        jet, log_own = geometry.monomial_jet(*own, u)
+        w, _, S = geometry._embedded_points(chart, jet, u, pdf)
+        V, log_scale = geometry.monomial_jet(basis, C[0], u)
+        V *= np.exp(log_scale - k * (0.5 * np.log(S) + log_own))
+        return geometry._weighted_outer_mean(w, V.T)
+
+    return mean
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize(
+    "fiber, exps",
+    [pytest.param(CONIC, _conic_level(k), id=f"conic-{k}") for k in (2, 8, 16)]
+    + [
+        pytest.param(MOBIUS, np.array([[k - a, a] for a in range(k + 1)]), id=f"mobius-{k}")
+        for k in (2, 8, 16)
+    ]
+    + [pytest.param(SURFACE, np.array(monomials(3, k)), id=f"surface-{k}") for k in (2, 4)],
+)
+def test_shared_power_table_matches_separate_tables(fiber, exps, far, monkeypatch):
+    # one table for the chart's jet and the sections, each block with its own
+    # scale, against a table each; on a curve the jet's basis is a prefix of
+    # the sections', so the products and every bit agree
+    if far:
+        monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
+    k = int(exps[0].sum())
+    want = mc_charts([fiber], _separate_tables_mean(fiber, exps, k), 8192, 7)
+    _, got = gram_matrix([fiber], exps, k, 8192, 7)
+    if fiber.dim == 1:
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.stderr, want.stderr)
+    else:
+        # the union has rows the jet lacks: zero columns move its product at rounding level
+        scale = np.max(np.abs(want.value))
+        assert np.max(np.abs(got.value - want.value)) <= 1e-13 * scale
+
+
+def test_shared_power_table_at_pulled_back_degree_48(monkeypatch):
+    monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
+    exps = _conic_level(24)
+    want = mc_charts([CONIC], _separate_tables_mean(CONIC, exps, 24), 8192, 4)
+    _, got = gram_matrix([CONIC], exps, 24, 8192, 4)
+    assert np.all(np.isfinite(got.value))
+    assert np.array_equal(got.value, want.value)
+
+
+def test_real_pullbacks_take_the_real_product():
+    rng = np.random.default_rng(8)
+    cases = ((CONIC, LEVEL8_CONIC), (MOBIUS, LEVEL8_LINE), (SURFACE, monomials(3, 4)))
+    for fiber, exps in cases:
+        basis, C = geometry._pullback(fiber, np.array(exps), jet=True)
+        assert C.dtype == np.float64
+        K = np.concatenate(C)
+        u, _ = _far_draw(rng, 512, fiber.dim)
+        real, log_scale = geometry.monomial_jet(basis, K, u)
+        as_complex, same_scale = geometry.monomial_jet(basis, K.astype(complex), u)
+        assert np.array_equal(real, as_complex)
+        assert np.array_equal(log_scale, same_scale)
+        # a complex frame folded in stays a complex product on the same table
+        G = len(K)
+        Q = np.linalg.qr(rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G)))[0]
+        U, _ = geometry.monomial_jet(basis, np.eye(len(basis.exponents)), u)
+        assert np.array_equal(geometry.monomial_jet(basis, Q @ K, u)[0], (Q @ K) @ U)
+
+
+def test_moment_matrix_in_a_complex_frame_is_the_rotated_identity_frame():
+    # W' = Q W for a unitary Q leaves the FS measure alone, so M' = Q M Q*
+    exps = np.array([[3 - a, a] for a in range(4)])
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    M, _ = moment_matrix([LINE], np.eye(4), exps, 8192, 5)
+    MQ, _ = moment_matrix([LINE], Q, exps, 8192, 5)
+    assert np.max(np.abs(MQ - Q @ M @ Q.conj().T)) <= 1e-12 * np.max(np.abs(M))
 
 
 # -- Gram and moment matrices ------------------------------------------------------------
@@ -405,8 +496,7 @@ def test_gram_rotation_block_diagonal():
 
 
 LEVEL8_LINE = np.array([[8 - a, a] for a in range(9)])
-# standard monomials of x*z - y^2 at degree 8: y-degree at most one
-LEVEL8_CONIC = np.array([[a, e, 8 - a - e] for e in (0, 1) for a in range(9 - e)])
+LEVEL8_CONIC = _conic_level(8)
 
 
 @pytest.mark.parametrize(
@@ -596,11 +686,11 @@ def _n2_statistic(t):
 
 def test_n2_stderr_on_one_chart_is_the_joint_jackknife():
     lam = [0.5, 0.25, -0.75]
-    own = geometry._chart_jet(CONIC)
+    basis, K = geometry._chart_jet(CONIC)
 
     def triple(chart, u, pdf):
-        w, V, _ = geometry._embedded_points(chart, *own, u, pdf)
-        h = np.abs(V) ** 2 @ lam
+        w, W, S = geometry._embedded_points(chart, geometry.monomial_jet(basis, K, u)[0], u, pdf)
+        h = (np.abs(W) ** 2).T @ lam / S
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
     _, _, per_chart = geometry._batch_means([CONIC], triple, 40_000, 2)
