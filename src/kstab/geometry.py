@@ -11,8 +11,8 @@ itself, which keeps importance weights bounded for polynomial charts.  Every
 estimate runs through one batch loop, so it is a deterministic function of
 (seed, sample count): fixed batch size, one generator substream per (chart,
 batch), pairwise-tree reduction, and a quarter-vs-full consistency ratio.
-The batches run on up to two worker threads and are combined in (chart,
-batch) order, so every result is bit-identical whatever the worker count.
+The batches run in (chart, batch) order on the calling thread, and every
+result is bit-identical whatever the BLAS thread count.
 
 Sections are evaluated on a chart through their exact pullbacks: each
 degree-k monomial m_a(F(u)) and its derivative in u are expanded once per
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -130,13 +129,6 @@ def _batch_rng(seed: tuple[int, ...], chart_index: int, batch: int) -> np.random
     return np.random.default_rng(ss)
 
 
-def _worker_count() -> int:
-    """Worker threads for the batch loop: one per usable CPU, at most two."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(2, len(os.sched_getaffinity(0)))
-    return min(2, os.cpu_count() or 1)
-
-
 def _batch_means(
     charts: Sequence[Chart],
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
@@ -147,37 +139,24 @@ def _batch_means(
 
     batch_mean is as in mc_charts.  Each (chart, batch) pair gets its own
     generator substream; sample counts are rounded up to full batches with
-    a minimum of two batches so batch scatter is defined.  The jobs run on
-    up to _worker_count() threads and are collected in (chart, batch) order,
-    so the means, and the first error raised, do not depend on the count.
+    a minimum of two batches so batch scatter is defined.  The batches run
+    in (chart, batch) order on the calling thread, and the first batch that
+    fails stops the loop.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     seed = _seed_tuple(seed)
     n_batches = max(2, -(-n_samples // BATCH_SIZE))
-    jobs = [(ci, b) for ci in range(len(charts)) for b in range(n_batches)]
-
-    def job(ci: int, b: int) -> np.ndarray:
-        u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, charts[ci].dim)
-        m = np.asarray(batch_mean(charts[ci], u, pdf))
-        if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
-            raise ValueError(f"non-finite integrand in chart {ci}, batch {b} (seed {seed})")
-        return m
-
-    workers = min(_worker_count(), len(jobs))
-    if workers == 1:
-        means = [job(ci, b) for ci, b in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(job, ci, b) for ci, b in jobs]
-            try:
-                means = [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    per_chart = [means[ci * n_batches : (ci + 1) * n_batches] for ci in range(len(charts))]
+    per_chart = []
+    for ci, chart in enumerate(charts):
+        means = []
+        for b in range(n_batches):
+            u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim)
+            m = np.asarray(batch_mean(chart, u, pdf))
+            if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
+                raise ValueError(f"non-finite integrand in chart {ci}, batch {b} (seed {seed})")
+            means.append(m)
+        per_chart.append(means)
     return seed, n_batches, per_chart
 
 

@@ -154,10 +154,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed or zero."""
         degs = {sum(e) for e in self.terms}

@@ -6,14 +6,13 @@ wide (5 sigma) gates so the suite stays deterministic and quiet.
 """
 
 import threading
-import time
 from fractions import Fraction
 from math import factorial, pi
 
 import numpy as np
 import pytest
 
-from kstab import Chart, cli, geometry, parse_polynomial
+from kstab import Chart, geometry, parse_polynomial
 from kstab.geometry import (
     BATCH_SIZE,
     embedded_mc,
@@ -27,10 +26,7 @@ from kstab.geometry import (
     monomial_values,
     n2_integral,
 )
-from kstab.rays import chow_weight_numeric
-from kstab.spectra import graded_slice
 
-from conftest import config_path
 from oracles import (
     _base_weight,
     batch_scatter,
@@ -177,110 +173,74 @@ def test_nonfinite_integrand_is_located():
         mc_integrate([LINE], bad, 8192, 0)
 
 
-# -- worker threads ----------------------------------------------------------------
-
-
-def _bits(mc):
-    return [np.asarray(x).tobytes() for x in (mc.value, mc.stderr, mc.consistency_ratio)]
-
-
-@pytest.mark.parametrize("estimate", ["gram", "moment", "n2", "chow"])
-def test_worker_count_does_not_change_a_bit(estimate, two_lines, monkeypatch):
-    # the two-chart cycle of conic_two_lines: jobs of both charts share the pool
-    config, _, cycle = two_lines
-    exps = np.array(graded_slice(config, 2).monomials, dtype=int)
-    runs = {
-        "gram": lambda: gram_matrix(cycle, exps, 2, 20_000, 3)[1],
-        "moment": lambda: moment_matrix(cycle, np.eye(len(exps)), exps, 20_000, 3)[1],
-        "n2": lambda: n2_integral(cycle, np.eye(3, dtype=int), [1 / 3, 1 / 3, -2 / 3], 20_000, 3),
-        "chow": lambda: chow_weight_numeric(config, cycle, 2, 1, 20_000, 3),
-    }
-    results = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
-        results[workers] = _bits(runs[estimate]())
-    assert results[1] == results[2]
-
-
-def test_report_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    files = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
-        out = tmp_path / f"workers{workers}"
-        code = cli.main(
-            ["report", str(config_path("conic_two_lines")), "--samples", "8192", "--out", str(out)]
-        )
-        files[workers] = (code, {f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert files[1][1]
-    assert files[1] == files[2]
+# -- the batch loop ----------------------------------------------------------------
 
 
 def _failing_at(charts, chart_index, batches, seed, fail):
     """batch_mean that calls fail(b) on the given batches of one chart.
 
-    Batches are recognized by their first draw.  The first of them is slowed
-    down, so a later failing batch finishes first on the other worker.
+    Batches are recognized by their first draw.
     """
     first = {}
     for b in batches:
         u, _ = geometry._draw_batch(geometry._batch_rng((seed,), chart_index, b), BATCH_SIZE, 1)
         first[complex(u[0, 0])] = b
-    threads = set()
 
     def mean(chart, u, pdf):
-        threads.add(threading.current_thread().name)
         b = first.get(complex(u[0, 0])) if chart is charts[chart_index] else None
-        if b is None:
-            return np.mean(pdf)
-        if b == min(batches):
-            time.sleep(0.2)
-        return fail(b)
+        return np.mean(pdf) if b is None else fail(b)
 
-    return mean, threads
+    return mean
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_first_nonfinite_batch_is_named_whatever_finishes_first(workers, monkeypatch):
-    monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+def test_first_nonfinite_batch_is_named():
     charts = [LINE, CONIC]
-    mean, threads = _failing_at(charts, 1, (3, 5), 0, lambda b: np.nan)
+    mean = _failing_at(charts, 1, (3, 5), 0, lambda b: np.nan)
     with pytest.raises(ValueError, match=r"non-finite integrand in chart 1, batch 3 "):
         mc_charts(charts, mean, 8 * BATCH_SIZE, 0)
-    assert (len(threads - {threading.current_thread().name}) > 0) == (workers == 2)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_first_raising_batch_is_the_one_raised(workers, monkeypatch):
-    monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+def test_first_raising_batch_is_the_one_raised():
     charts = [LINE, CONIC]
 
     def fail(b):
         raise ValueError(f"bad batch {b}")
 
-    mean, _ = _failing_at(charts, 1, (3, 5), 0, fail)
+    mean = _failing_at(charts, 1, (3, 5), 0, fail)
     with pytest.raises(ValueError, match=r"^bad batch 3$"):
         mc_charts(charts, mean, 8 * BATCH_SIZE, 0)
 
 
-def test_failure_cancels_pending_jobs_and_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(geometry, "_worker_count", lambda: 2)
-    calls = []
-    lock = threading.Lock()
+def test_batches_run_in_order_on_the_calling_thread_and_stop_at_a_failure(monkeypatch):
+    # batch 2 of the second chart fails: no batch after it is drawn
+    charts = [LINE, CONIC]
+    job_of = {}
+    for ci in range(2):
+        for b in range(4):
+            u, _ = geometry._draw_batch(geometry._batch_rng((0,), ci, b), BATCH_SIZE, 1)
+            job_of[complex(u[0, 0])] = (ci, b)
+    draw, draws, calls = geometry._draw_batch, [], []
+    threads_before = threading.enumerate()
+
+    def recorded_draw(rng, size, d):
+        u, pdf = draw(rng, size, d)
+        draws.append(job_of[complex(u[0, 0])])
+        return u, pdf
 
     def mean(chart, u, pdf):
-        with lock:
-            calls.append(1)
-            first = len(calls) == 1
-        if first:
-            raise ValueError("first job fails")
-        time.sleep(0.02)
+        calls.append((job_of[complex(u[0, 0])], threading.current_thread(), threading.enumerate()))
+        if calls[-1][0] == (1, 2):
+            raise ValueError("batch 2 of chart 1 fails")
         return np.mean(pdf)
 
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="first job fails"):
-        mc_charts([LINE, CONIC], mean, 40 * BATCH_SIZE, 0)
-    assert len(calls) < 10  # of 80 jobs
-    assert threading.active_count() == before
+    monkeypatch.setattr(geometry, "_draw_batch", recorded_draw)
+    with pytest.raises(ValueError, match="^batch 2 of chart 1 fails$"):
+        mc_charts(charts, mean, 4 * BATCH_SIZE, 0)
+    order = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
+    assert draws == order
+    assert [job for job, _, _ in calls] == order
+    assert all(thread is threading.current_thread() for _, thread, _ in calls)
+    assert all(threads == threads_before for _, _, threads in calls)
 
 
 # -- monomial evaluation ---------------------------------------------------------------

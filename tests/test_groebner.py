@@ -122,7 +122,7 @@ def test_normal_form_idempotent_and_linear():
     basis, order = conic_basis((0, 0, 1))
     for _ in range(40):
         f = _random_homogeneous(rng, 3, rng.randint(1, 4))
-        g = _random_homogeneous(rng, 3, f.degree() if f.terms else 2)
+        g = _random_homogeneous(rng, 3, f.homogeneous_degree() if f.terms else 2)
         nf_f = normal_form(f, basis, order)
         assert normal_form(nf_f, basis, order) == nf_f
         # full reduction is the linear projection onto standard monomials
