@@ -295,13 +295,20 @@ class Inputs:
                 )
         return charts
 
-    def frame(self, k: int, samples: int, seed: int) -> SectionFrame:
-        from .rays import section_frame
+    def frames_at(self, ks, samples: int, seed: int) -> list[SectionFrame]:
+        """The section frames at the levels ks, the missing ones built in one Gram pass.
 
-        key = (k, samples, seed)
-        if key not in self.frames:
-            self.frames[key] = section_frame(self.config, self.fiber, k, samples, seed)
-        return self.frames[key]
+        A level's frame does not depend on which levels share its pass, so
+        a frame built for one command serves every other.  Callers check the
+        fiber charts first (charts).
+        """
+        from .rays import section_frames
+
+        missing = sorted(k for k in set(ks) if (k, samples, seed) not in self.frames)
+        if missing:
+            for frame in section_frames(self.config, self.fiber, missing, samples, seed):
+                self.frames[frame.k, samples, seed] = frame
+        return [self.frames[k, samples, seed] for k in ks]
 
 
 def _poly_strings(config: TestConfiguration, polys) -> list[str]:
@@ -384,13 +391,12 @@ def _cmd_chow(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check
     checks = []
     if run.numeric:
         cycle = inputs.charts("cycle")
-        from .rays import chow_weight_numeric
+        from .rays import chow_weights_numeric
 
         payload["numeric"] = []
-        for k in run.k or (1,):
-            numeric = chow_weight_numeric(
-                config, cycle, k, report.n, run.samples, run.seed
-            )
+        ks = run.k or (1,)
+        ladder = chow_weights_numeric(config, cycle, ks, report.n, run.samples, run.seed)
+        for k, numeric in zip(ks, ladder):
             exact = chow_weight_algebraic(config, k, report).mu
             scale = max(abs(float(exact)), 1.0)
             rel = abs(numeric.value - float(exact)) / scale
@@ -448,8 +454,7 @@ def _ray_machinery(run: argparse.Namespace, inputs: Inputs):
     from .rays import build_ray_grid, grid_points
 
     report = inputs.fit
-    ks = run.k or RAY_LEVELS
-    frames = [inputs.frame(k, run.samples, run.seed) for k in ks]
+    frames = inputs.frames_at(run.k or RAY_LEVELS, run.samples, run.seed)
     points = grid_points(inputs.config, fiber)
     grid = build_ray_grid(
         frames, run.t_grid, points, report.n, float(report.degree_volume)
@@ -502,14 +507,14 @@ def _cmd_envelope(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[C
 
 def _cmd_mass(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Check]]:
     fiber = inputs.charts("fiber")
-    from .rays import ma_mass
+    from .rays import ma_masses
 
-    ks = run.k or tuple(range(2, 13))
+    frames = inputs.frames_at(run.k or tuple(range(2, 13)), run.samples, run.seed)
+    ladder = ma_masses(inputs.config, fiber, frames, inputs.fit, run.samples, run.seed)
     rows = []
     checks = []
-    for k in ks:
-        frame = inputs.frame(k, run.samples, run.seed)
-        er = ma_mass(inputs.config, fiber, frame, inputs.fit, run.samples, run.seed)
+    for er in ladder:
+        k = er.k
         consistency = _consistency(f"mass[k={k}]", er.moment_mc)
         rows.append(
             {
@@ -552,6 +557,9 @@ def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Che
         checks += c
     if inputs.fiber:
         sub = argparse.Namespace(**{**vars(run), "k": run.k or (2, 3, 4, 6)})
+        # one Gram pass for the levels of mass and ray together
+        inputs.charts("fiber")
+        inputs.frames_at({*sub.k, *(run.k or RAY_LEVELS)}, run.samples, run.seed)
         payload["mass"], c = _cmd_mass(sub, inputs)
         checks += c
         payload["ray"], c, _ = _cmd_ray(run, inputs)
@@ -596,9 +604,13 @@ _positive_int = _int_at_least(1)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: distinct positive integers, comma separated."""
     values = tuple(_positive_int(part) for part in text.split(",") if part)
     if not values:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{value} is repeated in {text!r}")
     return values
 
 

@@ -131,33 +131,38 @@ def _batch_rng(seed: tuple[int, ...], chart_index: int, batch: int) -> np.random
 
 def _batch_means(
     charts: Sequence[Chart],
-    batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
+    batch_means: Callable[[Chart, np.ndarray, np.ndarray], Sequence],
+    levels: Sequence,
     n_samples: int,
     seed,
-) -> tuple[tuple[int, ...], int, list[list[np.ndarray]]]:
-    """The one batch loop: (seed tuple, batch count, per-chart lists of batch means).
+) -> tuple[tuple[int, ...], int, list[list[list[np.ndarray]]]]:
+    """The one batch loop: (seed tuple, batch count, per-level, per-chart lists of batch means).
 
-    batch_mean is as in mc_charts.  Each (chart, batch) pair gets its own
-    generator substream; sample counts are rounded up to full batches with
-    a minimum of two batches so batch scatter is defined.  The batches run
-    in (chart, batch) order on the calling thread, and the first batch that
-    fails stops the loop.
+    batch_means is as in mc_ladder: one batch mean per entry of levels, each
+    level's in the order of levels, all on one draw.  Each (chart, batch)
+    pair gets its own generator substream; sample counts are rounded up to
+    full batches with a minimum of two batches so batch scatter is defined.
+    The batches run in (chart, batch) order on the calling thread, and the
+    first batch that fails stops the loop; a non-finite mean is named by
+    its level (unless that is None), chart and batch.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     seed = _seed_tuple(seed)
     n_batches = max(2, -(-n_samples // BATCH_SIZE))
-    per_chart = []
+    per_level = [[[] for _ in charts] for _ in levels]
     for ci, chart in enumerate(charts):
-        means = []
         for b in range(n_batches):
             u, pdf = _draw_batch(_batch_rng(seed, ci, b), BATCH_SIZE, chart.dim)
-            m = np.asarray(batch_mean(chart, u, pdf))
-            if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
-                raise ValueError(f"non-finite integrand in chart {ci}, batch {b} (seed {seed})")
-            means.append(m)
-        per_chart.append(means)
-    return seed, n_batches, per_chart
+            for k, m, per_chart in zip(levels, batch_means(chart, u, pdf), per_level, strict=True):
+                m = np.asarray(m)
+                if not np.all(np.isfinite(np.atleast_1d(m).view(float))):
+                    level = "" if k is None else f" at level k = {k}"
+                    raise ValueError(
+                        f"non-finite integrand{level} in chart {ci}, batch {b} (seed {seed})"
+                    )
+                per_chart[ci].append(m)
+    return seed, n_batches, per_level
 
 
 def mc_charts(
@@ -175,9 +180,36 @@ def mc_charts(
     moves the total by m_c (mean_c - x_cb) / (n - 1); the charts draw
     independent substreams, so their variances add.  For the identity it
     is the per-chart batch scatter.  The quarter estimate is the statistic
-    of the total over each chart's first quarter of batches.
+    of the total over each chart's first quarter of batches.  It is the
+    ladder of one.
     """
-    seed, n, per_chart = _batch_means(charts, batch_mean, n_samples, seed)
+    (result,) = mc_ladder(
+        charts, lambda *draw: [batch_mean(*draw)], (None,), n_samples, seed, statistic
+    )
+    return result
+
+
+def mc_ladder(
+    charts: Sequence[Chart],
+    batch_means: Callable[[Chart, np.ndarray, np.ndarray], Sequence],
+    levels: Sequence,
+    n_samples: int,
+    seed,
+    statistic: Callable = lambda total: total,
+) -> list[MCResult]:
+    """mc_charts at every level of a ladder, from one draw per (chart, batch).
+
+    batch_means(chart, u, pdf) returns each level's batch mean on the one
+    draw, in the order of levels, which label the levels in errors.  Each
+    level keeps its own estimate, jackknife stderr and quarter ratio, the
+    ones it would get alone on the same substreams.
+    """
+    seed, n, per_level = _batch_means(charts, batch_means, levels, n_samples, seed)
+    return [_mc_result(charts, per_chart, n, seed, statistic) for per_chart in per_level]
+
+
+def _mc_result(charts, per_chart, n: int, seed: tuple[int, ...], statistic) -> MCResult:
+    """mc_charts' estimate, stderr and quarter ratio from n batch means per chart."""
     q = max(1, n // 4)
     means = [_tree_sum(xs) / n for xs in per_chart]
     total = _tree_sum([chart.multiplicity * mean for chart, mean in zip(charts, means)])
@@ -240,17 +272,19 @@ class _PowerBasis:
         self.starts = np.searchsorted([sum(alpha) for alpha in self.exponents], range(self.top + 2))
 
 
-def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray, own=None) -> tuple:
-    """K @ U at a (B, d) batch, one column per point, and log(rho^top) per point.
+def monomial_jet(basis: _PowerBasis, u: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Products K @ U of coefficient blocks on one power table of a (B, d) batch.
 
     The power table x^alpha, x = u / rho with rho = max(1, max_i |u_i|), is
-    built once over the basis rows.  U (P, B) is that table scaled to
-    u^alpha / rho^top, so its entries are at most 1 in modulus.  K (G, P)
-    stacks pullback coefficients (_pullback), any frame folded in.
-    own = (K_own, m) is a second block on the same table, over the rows of
-    degree at most m, scaled by rho^-m instead: a chart's jet keeps its own
-    scale, which the sections' rho^-top could underflow far out.  With it
-    the result goes on with K_own @ U_own and log(rho^m).
+    built once over the basis rows.  A block (K, sub, rows) reads the rows
+    of the sub-basis sub, at the basis indices rows (None when sub is the
+    basis), scaled to U = u^alpha / rho^m with m = sub.top, so every entry
+    is at most 1 in modulus; K (G, len(sub.exponents)) stacks pullback
+    coefficients (_pullback), any frame folded in.  Each block keeps its
+    own scale: a chart's jet keeps rho^-deg F, which the sections' rho^-top
+    could underflow far out.  Returns (K @ U, log(rho^m)) per block.  The
+    blocks run in order, each on a copy of its rows, except that a last
+    block over the whole table scales the table in place.
     """
     rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
     x = (u / rho[:, None]).T.copy()
@@ -259,14 +293,17 @@ def monomial_jet(basis: _PowerBasis, K: np.ndarray, u: np.ndarray, own=None) -> 
     for j, lower, i in basis.steps:
         np.multiply(U[lower], x[i], out=U[j])
     log_rho = np.log(rho)
-    second = ()
-    if own is not None:
-        K_own, m = own
-        rows = U[: basis.starts[m + 1]].copy()  # scaled apart, before U is scaled in place
-        second = (_times(K_own, _scale_rows(rows, basis.starts, m, rho)), m * log_rho)
-        del rows  # freed before the sections' product is formed
-    U = _scale_rows(U, basis.starts, basis.top, rho)
-    return (_times(K, U), basis.top * log_rho, *second)
+    out = []
+    for b, (K, sub, rows) in enumerate(blocks):
+        if rows is not None:
+            table = U[rows]
+        elif b < len(blocks) - 1:
+            table = U.copy()  # scaled apart, before a later block reads U
+        else:
+            table = U
+        out.append((_times(K, _scale_rows(table, sub.starts, sub.top, rho)), sub.top * log_rho))
+        del table  # freed before the next block's rows are copied
+    return out
 
 
 def _scale_rows(U: np.ndarray, starts, m: int, rho: np.ndarray) -> np.ndarray:
@@ -336,7 +373,8 @@ def _embedded_points(
     W = jet[0]
     S = _squared_norms(W)
     if np.any(S == 0):
-        F = monomial_jet(*_chart_jet(chart), u[S == 0])[0][: chart.ambient_count]
+        basis, K = _chart_jet(chart)
+        F = monomial_jet(basis, u[S == 0], [(K, basis, None)])[0][0][: chart.ambient_count]
         if np.all(np.any(F != 0, axis=0)):
             raise ValueError("embedded point vanished: sections do not span here")
     dens = fs_density_values(W, jet[1:], S)  # raises at an indeterminate point
@@ -367,40 +405,70 @@ def gram_matrix(
     chart m(z/|z|) = (C_0 @ U) rho^top / |F(u)|^k with C_0 the pullbacks
     and U their scaled power table; the factor is formed in log space.  The
     weights and log|F(u)| come from the chart's own jet [F; dF], laid out
-    over the same basis as C_0, so each draw builds one table for both
-    (monomial_jet with own): the jet on its rows up to deg F scaled by
-    rho^-deg F, the sections on all rows scaled by rho^-top.
+    over the same basis as C_0, so each draw builds one table for both: the
+    jet on its own rows scaled by rho^-deg F, the sections on all rows
+    scaled by rho^-top.  It is the ladder of one.
     """
-    exponents = np.asarray(exponents, dtype=int)
-    for row in exponents:
-        if row.sum() != k:
-            raise ValueError(f"exponent row {row.tolist()} does not have degree k = {k}")
-    tables = {chart: _shared_table(chart, exponents) for chart in charts}
+    (result,) = gram_ladder(charts, [(k, exponents)], n_samples, seed)
+    return result
 
-    def mean(chart, u, pdf):
-        basis, C, own = tables[chart]
-        V, log_scale, jet, log_own = monomial_jet(basis, C, u, own)
+
+def gram_ladder(
+    charts: Sequence[Chart],
+    levels: Sequence[tuple[int, np.ndarray]],
+    n_samples: int,
+    seed,
+) -> list[tuple[np.ndarray, MCResult]]:
+    """gram_matrix at each (k, exponents) of levels, from one draw per (chart, batch).
+
+    A draw's power table, the chart's jet, its FS weights and log|F(u)|
+    are formed once for every level.  The table runs over the union of the
+    bases the levels would build alone, and each level multiplies its own
+    rows of it at its own scale, so a level's matrix and MCResult are
+    bit-identical whichever other levels share its draws.
+    """
+    levels = [(k, np.asarray(exponents, dtype=int)) for k, exponents in levels]
+    for k, exponents in levels:
+        for row in exponents:
+            if row.sum() != k:
+                raise ValueError(f"exponent row {row.tolist()} does not have degree k = {k}")
+    tables = {chart: _shared_table(chart, [exponents for _, exponents in levels]) for chart in charts}
+
+    def means(chart, u, pdf):
+        basis, blocks = tables[chart]
+        (jet, log_own), *sections = monomial_jet(basis, u, blocks)
         w, _, S = _embedded_points(chart, jet, u, pdf)
-        del jet, _  # the outer mean's copy of V then fits where the table was
-        V *= np.exp(log_scale - k * (0.5 * np.log(S) + log_own))
-        return _weighted_outer_mean(w, V.T)
+        del jet, _  # the outer means' copies of V then fit where the jet was
+        log_norm = 0.5 * np.log(S) + log_own
+        out = []
+        for (k, _), (V, log_scale) in zip(levels, sections):
+            V *= np.exp(log_scale - k * log_norm)
+            out.append(_weighted_outer_mean(w, V.T))
+        return out
 
-    result = mc_charts(charts, mean, n_samples, seed)
-    return hermitian_part(result.value), result
+    results = mc_ladder(charts, means, [k for k, _ in levels], n_samples, seed)
+    return [(hermitian_part(result.value), result) for result in results]
 
 
-def _shared_table(chart: Chart, exponents: np.ndarray) -> tuple[_PowerBasis, np.ndarray, tuple]:
-    """One basis for the section pullbacks C_0 and the chart's jet [F; dF].
+def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBasis, list]:
+    """One basis for the chart's jet [F; dF] and the section pullbacks of every level.
 
-    The basis is the downward closure of both supports.  Returns it, C_0
-    over all its rows, and own = ([F; dF] over the rows of degree at most
-    deg F, deg F) for monomial_jet.
+    A level alone would take the downward closure of its pullbacks' support
+    and the jet's; the union of those bases is the table's.  Returns it and
+    monomial_jet's blocks: the jet on its own rows, then each level's
+    pullbacks C_0 on the rows of its own basis.
     """
     jet_basis, jet = _chart_jet(chart)
-    basis, C = _pullback(chart, exponents, jet=False, also=jet_basis.exponents)
-    own = np.zeros((len(jet), basis.starts[jet_basis.top + 1]))
-    own[:, [basis.index[alpha] for alpha in jet_basis.exponents]] = jet
-    return basis, C[0], (own, jet_basis.top)
+    pulled = [_pullback(chart, exponents, jet=False, also=jet_basis.exponents) for exponents in ladder]
+    basis = _PowerBasis([alpha for sub, _ in pulled for alpha in sub.exponents], chart.dim)
+
+    def rows(sub):
+        if len(sub.exponents) == len(basis.exponents):
+            return None
+        return np.array([basis.index[alpha] for alpha in sub.exponents])
+
+    blocks = [(jet, jet_basis, rows(jet_basis))]
+    return basis, blocks + [(C[0], sub, rows(sub)) for sub, C in pulled]
 
 
 def hermitian_part(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -471,19 +539,48 @@ def embedded_mc(
     so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
     their partials dW by u_1..u_d.  The pullbacks are real, so K is real
     for a real frame (the identity of n2_integral and chow_weight_numeric)
-    and takes the real product; a complex frame makes K complex.
+    and takes the real product; a complex frame makes K complex.  It is
+    the ladder of one.
     """
-    exponents = np.asarray(exponents, dtype=int)
-    pulled = {chart: _pullback(chart, exponents, jet=True) for chart in charts}
-    folded = {chart: (basis, np.concatenate(gs_matrix @ C)) for chart, (basis, C) in pulled.items()}
+    (result,) = embedded_ladder(
+        charts, [(None, gs_matrix, exponents, reduce)], n_samples, seed, statistic
+    )
+    return result
 
-    def mean(chart, u, pdf):
-        basis, K = folded[chart]
-        w, W, S = _embedded_points(chart, monomial_jet(basis, K, u)[0], u, pdf)
-        W /= np.sqrt(S)
-        return reduce(w, W.T)
 
-    return mc_charts(charts, mean, n_samples, seed, statistic)
+def embedded_ladder(
+    charts: Sequence[Chart],
+    levels: Sequence[tuple],
+    n_samples: int,
+    seed,
+    statistic: Callable = lambda total: total,
+) -> list[MCResult]:
+    """embedded_mc at each (k, gs_matrix, exponents, reduce) of levels, from one draw per batch.
+
+    The levels share only the draw: each one's weights come from its own
+    embedding, so each builds its own table, exactly as it would alone.
+    """
+    folded = {
+        chart: [_folded(chart, gs_matrix, exponents) for _, gs_matrix, exponents, _ in levels]
+        for chart in charts
+    }
+
+    def means(chart, u, pdf):
+        out = []
+        for (basis, K), (_, _, _, reduce) in zip(folded[chart], levels):
+            ((jet, _),) = monomial_jet(basis, u, [(K, basis, None)])
+            w, W, S = _embedded_points(chart, jet, u, pdf)
+            W /= np.sqrt(S)
+            out.append(reduce(w, W.T))
+        return out
+
+    return mc_ladder(charts, means, [level[0] for level in levels], n_samples, seed, statistic)
+
+
+def _folded(chart: Chart, gs_matrix: np.ndarray, exponents) -> tuple[_PowerBasis, np.ndarray]:
+    """The basis of the monomial rows' pullbacks and their jet with the frame folded in."""
+    basis, C = _pullback(chart, np.asarray(exponents, dtype=int), jet=True)
+    return basis, np.concatenate(gs_matrix @ C)
 
 
 def moment_matrix(
@@ -496,12 +593,23 @@ def moment_matrix(
     """Moment matrix int z_a conj(z_b)/|z|^2 over the embedded cycle image.
 
     The measure is the FS volume of the embedding by the orthonormal
-    sections; the trace estimates the image degree.
+    sections; the trace estimates the image degree.  It is the ladder of
+    one.
     """
-    result = embedded_mc(
-        charts, gs_matrix, exponents, _weighted_outer_mean, n_samples, seed
-    )
-    return hermitian_part(result.value), result
+    (result,) = moment_ladder(charts, [(None, gs_matrix, exponents)], n_samples, seed)
+    return result
+
+
+def moment_ladder(
+    charts: Sequence[Chart],
+    levels: Sequence[tuple],
+    n_samples: int,
+    seed,
+) -> list[tuple[np.ndarray, MCResult]]:
+    """moment_matrix at each (k, gs_matrix, exponents) of levels, from one draw per batch."""
+    ladder = [(k, gs_matrix, exponents, _weighted_outer_mean) for k, gs_matrix, exponents in levels]
+    results = embedded_ladder(charts, ladder, n_samples, seed)
+    return [(hermitian_part(result.value), result) for result in results]
 
 
 def energy_derivative(moment: np.ndarray, generator: np.ndarray, n: int) -> float:

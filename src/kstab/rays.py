@@ -10,7 +10,10 @@ evaluated here on finite point grids.  The module builds those grids,
 assembles the shift-and-sup envelope over a ladder of levels, and computes
 the energy diagnostics (Monge-Ampere mass budget, slope, convexity and
 sup/osc growth) and the sampled Chow weight, an unflowed integral over the
-flat-limit cycle.  build_ray_grid is the one evaluator of phi(t;k).
+flat-limit cycle.  build_ray_grid is the one evaluator of phi(t;k).  The
+sampled quantities come in ladder forms (section_frames, ma_masses,
+chow_weights_numeric) that run every level on the same draws; a single
+level is the ladder of one.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import numpy as np
 from .asymptotics import AsymptoticReport, chow_weight_algebraic
 from .geometry import (
     MCResult,
-    embedded_mc,
+    embedded_ladder,
     energy_derivative,
     equivariant_gram_schmidt,
-    gram_matrix,
-    moment_matrix,
+    gram_ladder,
+    moment_ladder,
     monomial_values,
 )
 from .polynomials import Chart
@@ -44,6 +47,12 @@ PARAM_VALUES = (
     Fraction(1),
     Fraction(2),
 )
+# Each pass draws its substreams at (seed, 0, tag, chart, batch).  The level
+# slot is 0 for every level, so the levels of a ladder share their draws and
+# a level's estimate does not depend on which other levels ran; the tags keep
+# the Gram, Chow and moment passes apart, so no frame meets the draws it was
+# fitted to.
+GRAM_TAG, CHOW_TAG, MOMENT_TAG = 1, 2, 5
 
 
 # -- section frames ------------------------------------------------------------
@@ -75,18 +84,32 @@ def section_frame(
     seed: int,
 ) -> SectionFrame:
     """Monte Carlo Gram matrix plus equivariant orthonormalization at level k."""
-    sl = graded_slice(config, k)
-    exponents = np.array(sl.monomials, dtype=int)
-    gram, mc = gram_matrix(fiber, exponents, k, n_samples, (seed, k, 1))
-    lambdas = np.array([float(a) for a in sl.a_spectrum])
-    return SectionFrame(
-        k=k,
-        exponents=exponents,
-        lambdas=lambdas,
-        matrix=equivariant_gram_schmidt(sl.b_spectrum, gram),
-        gram=gram,
-        gram_mc=mc,
-    )
+    (frame,) = section_frames(config, fiber, (k,), n_samples, seed)
+    return frame
+
+
+def section_frames(
+    config: TestConfiguration,
+    fiber: Sequence[Chart],
+    ks: Sequence[int],
+    n_samples: int,
+    seed: int,
+) -> list[SectionFrame]:
+    """section_frame at each level of ks, from one Gram pass over shared draws."""
+    slices = [graded_slice(config, k) for k in ks]
+    exponents = [np.array(sl.monomials, dtype=int) for sl in slices]
+    grams = gram_ladder(fiber, list(zip(ks, exponents)), n_samples, (seed, 0, GRAM_TAG))
+    return [
+        SectionFrame(
+            k=k,
+            exponents=exps,
+            lambdas=np.array([float(a) for a in sl.a_spectrum]),
+            matrix=equivariant_gram_schmidt(sl.b_spectrum, gram),
+            gram=gram,
+            gram_mc=mc,
+        )
+        for k, sl, exps, (gram, mc) in zip(ks, slices, exponents, grams)
+    ]
 
 
 # -- point grids ---------------------------------------------------------------
@@ -434,27 +457,44 @@ def ma_mass(
     seed: int,
 ) -> EnergyReport:
     """Mass budget at level k: sampled boundary slope plus exact Chow weight."""
-    k = frame.k
+    (energy,) = ma_masses(config, fiber, [frame], report, n_samples, seed)
+    return energy
+
+
+def ma_masses(
+    config: TestConfiguration,
+    fiber: Sequence[Chart],
+    frames: Sequence[SectionFrame],
+    report: AsymptoticReport,
+    n_samples: int,
+    seed: int,
+) -> list[EnergyReport]:
+    """ma_mass at each frame's level, from one moment pass over shared draws."""
     n = report.n
-    M, mc = moment_matrix(
-        fiber, frame.matrix, frame.exponents, n_samples, (seed, k, 5)
+    moments = moment_ladder(
+        fiber, [(f.k, f.matrix, f.exponents) for f in frames], n_samples, (seed, 0, MOMENT_TAG)
     )
-    A = np.diag(frame.lambdas)
-    edot_zero = energy_derivative(M, A, n)
-    mu = chow_weight_algebraic(config, k, report).mu
-    scale = (n + 1) * k ** (n + 1)
-    mass = (edot_zero + float(mu)) / scale
-    diag_err = np.real(np.diag(np.asarray(mc.stderr)))
-    edot_err = 2.0 * (n + 1) * math.sqrt(float(np.sum(frame.lambdas**2 * diag_err**2)))
-    return EnergyReport(
-        k=k,
-        edot_zero=edot_zero,
-        edot_minus_inf=-mu,
-        mass=mass,
-        mass_times_k=mass * k,
-        mass_stderr=edot_err / scale,
-        moment_mc=mc,
-    )
+    energies = []
+    for frame, (M, mc) in zip(frames, moments):
+        k = frame.k
+        edot_zero = energy_derivative(M, np.diag(frame.lambdas), n)
+        mu = chow_weight_algebraic(config, k, report).mu
+        scale = (n + 1) * k ** (n + 1)
+        mass = (edot_zero + float(mu)) / scale
+        diag_err = np.real(np.diag(np.asarray(mc.stderr)))
+        edot_err = 2.0 * (n + 1) * math.sqrt(float(np.sum(frame.lambdas**2 * diag_err**2)))
+        energies.append(
+            EnergyReport(
+                k=k,
+                edot_zero=edot_zero,
+                edot_minus_inf=-mu,
+                mass=mass,
+                mass_times_k=mass * k,
+                mass_stderr=edot_err / scale,
+                moment_mc=mc,
+            )
+        )
+    return energies
 
 
 def chow_weight_numeric(
@@ -482,13 +522,26 @@ def chow_weight_numeric(
     M_aa = 2 mu/n!: the 2 is the B + B* of a real generator, and on a curve
     the slope is 2 mu.
     """
-    sl = graded_slice(config, k)
-    exponents = np.array(sl.monomials, dtype=int)
-    lambdas = np.array([float(a) for a in sl.a_spectrum])
+    (result,) = chow_weights_numeric(config, cycle, (k,), n, n_samples, seed)
+    return result
 
-    def reduce(w, V):
-        return math.factorial(n + 1) * np.mean(w * ((np.abs(V) ** 2) @ lambdas))
 
-    return embedded_mc(
-        cycle, np.eye(len(lambdas)), exponents, reduce, n_samples, (seed, k, 2)
-    )
+def chow_weights_numeric(
+    config: TestConfiguration,
+    cycle: Sequence[Chart],
+    ks: Sequence[int],
+    n: int,
+    n_samples: int,
+    seed: int,
+) -> list[MCResult]:
+    """chow_weight_numeric at each level of ks, from one pass over shared draws."""
+    ladder = []
+    for k in ks:
+        sl = graded_slice(config, k)
+        lambdas = np.array([float(a) for a in sl.a_spectrum])
+
+        def reduce(w, V, lambdas=lambdas):
+            return math.factorial(n + 1) * np.mean(w * ((np.abs(V) ** 2) @ lambdas))
+
+        ladder.append((k, np.eye(len(lambdas)), sl.monomials, reduce))
+    return embedded_ladder(cycle, ladder, n_samples, (seed, 0, CHOW_TAG))

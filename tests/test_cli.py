@@ -171,15 +171,17 @@ def test_mass_payload(tmp_path):
 
 
 def test_mass_consistency_failure_is_not_a_positivity_failure(tmp_path, monkeypatch):
-    real = rays.ma_mass
+    real = rays.ma_masses
 
     def inconsistent(*args):
-        er = real(*args)
-        return dataclasses.replace(
-            er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ratio=2.0)
-        )
+        return [
+            dataclasses.replace(
+                er, moment_mc=dataclasses.replace(er.moment_mc, consistency_ratio=2.0)
+            )
+            for er in real(*args)
+        ]
 
-    monkeypatch.setattr(rays, "ma_mass", inconsistent)
+    monkeypatch.setattr(rays, "ma_masses", inconsistent)
     code = run(["mass", DL, "--k", "2,3", "--samples", "20000"], tmp_path)
     payload = load(tmp_path, "conic_double_line_mass")
     assert code == 3
@@ -255,6 +257,12 @@ def _patched(module, name, change):
     return module, name, lambda *args: change(real(*args))
 
 
+def _patched_ladder(module, name, change):
+    """_patched for a ladder form: change edits the result of each level."""
+    real = getattr(module, name)
+    return module, name, lambda *args: [change(result) for result in real(*args)]
+
+
 def _inconsistent(result):
     return dataclasses.replace(result, consistency_ratio=2.0)
 
@@ -285,14 +293,14 @@ FAULTS = {
     "chow.numeric[k=1].rel_error": (CHOW, [(cli, "CHOW_TOL", 0.0)]),
     "chow.numeric[k=1].consistency": (
         CHOW,
-        [_patched(rays, "chow_weight_numeric", _inconsistent)],
+        [_patched_ladder(rays, "chow_weights_numeric", _inconsistent)],
     ),
-    "mass[k=3].consistency": (MASS, [_patched(rays, "ma_mass", _mc_at_level(3, "moment_mc"))]),
-    "mass[k=3].positivity": (MASS, [_patched(rays, "ma_mass", _at_level(3, mass=-1.0))]),
-    "mass.bounded": (MASS, [_patched(rays, "ma_mass", _at_level(3, mass_times_k=1e3))]),
+    "mass[k=3].consistency": (MASS, [_patched_ladder(rays, "ma_masses", _mc_at_level(3, "moment_mc"))]),
+    "mass[k=3].positivity": (MASS, [_patched_ladder(rays, "ma_masses", _at_level(3, mass=-1.0))]),
+    "mass.bounded": (MASS, [_patched_ladder(rays, "ma_masses", _at_level(3, mass_times_k=1e3))]),
     "ray.gram[k=4].consistency": (
         RAY,
-        [_patched(rays, "section_frame", _mc_at_level(4, "gram_mc"))],
+        [_patched_ladder(rays, "section_frames", _mc_at_level(4, "gram_mc"))],
     ),
     "ray.slope": (RAY, [(rays, "slope_report", lambda grid: 1.0)]),
     "ray.convexity": (RAY, [(rays, "convexity_report", lambda grid: -1.0)]),
@@ -376,15 +384,55 @@ def test_report_builds_each_frame_and_the_fit_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(rays, "section_frame", counted(rays.section_frame, levels))
+    monkeypatch.setattr(rays, "section_frames", counted(rays.section_frames, levels))
     monkeypatch.setattr(cli, "fit_asymptotics", counted(cli.fit_asymptotics, fits))
     run(["report", DL, "--samples", "8192"], tmp_path)
-    # mass uses levels 2, 3, 4, 6 and the ray 4, 8, 16: level 4 is shared
-    assert sorted(args[2] for args in levels) == [2, 3, 4, 6, 8, 16]
+    # mass uses levels 2, 3, 4, 6 and the ray 4, 8, 16: one Gram pass builds
+    # their union, level 4 once
+    assert [list(args[2]) for args in levels] == [[2, 3, 4, 6, 8, 16]]
     assert len(fits) == 1
     payload = load(tmp_path, "conic_double_line_report")
     assert [row["k"] for row in payload["mass"]["rows"]] == [2, 3, 4, 6]
     assert payload["ray"]["k_set"] == [4, 8, 16]
+
+
+def test_report_draws_once_per_batch_for_all_its_levels(tmp_path, monkeypatch):
+    # two batches each for one Gram pass (levels 2, 3, 4, 6, 8, 16), one
+    # moment pass (2, 3, 4, 6) and n2; a draw per level and pass makes 22
+    draws = []
+    real = geometry._draw_batch
+
+    def counted(*args):
+        draws.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_draw_batch", counted)
+    run(["report", DL, "--samples", "8192"], tmp_path)
+    assert len(draws) == 6
+
+
+def test_mass_row_does_not_depend_on_the_other_levels(tmp_path):
+    rows = {}
+    for levels in ("2,3,4,6", "4"):
+        run(["mass", DL, "--k", levels, "--samples", "8192"], tmp_path / levels)
+        payload = load(tmp_path / levels, "conic_double_line_mass")
+        rows[levels] = next(row for row in payload["rows"] if row["k"] == 4)
+    assert rows["2,3,4,6"] == rows["4"]
+
+
+@pytest.mark.parametrize(
+    "args, flag, value",
+    [
+        (["mass", DL, "--k", "4,4"], "--k", 4),
+        (["chow", DL, "--numeric", "--k", "2,2"], "--k", 2),
+        (["ray", DL, "--k", "4,4,8"], "--k", 4),
+        (["chow", DL, "--r", "1,3,1"], "--r", 1),
+    ],
+)
+def test_repeated_levels_are_a_flag_error(tmp_path, capsys, args, flag, value):
+    assert run(args + ["--samples", "8192"], tmp_path) == 2
+    assert f"argument {flag}: {value} is repeated in " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_report_builds_each_slice_once(tmp_path, monkeypatch):

@@ -19,9 +19,12 @@ from kstab.geometry import (
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
+    gram_ladder,
     gram_matrix,
     hermitian_part,
     mc_charts,
+    mc_ladder,
+    moment_ladder,
     moment_matrix,
     monomial_values,
     n2_integral,
@@ -176,6 +179,11 @@ def test_nonfinite_integrand_is_located():
 # -- the batch loop ----------------------------------------------------------------
 
 
+def _one(batch_mean):
+    """A batch_mean as the one level of _batch_means."""
+    return lambda *draw: [batch_mean(*draw)]
+
+
 def _failing_at(charts, chart_index, batches, seed, fail):
     """batch_mean that calls fail(b) on the given batches of one chart.
 
@@ -279,7 +287,7 @@ def test_monomial_values_and_jet_exact():
         (SURFACE, np.array(monomials(3, 3)), uv_points),
     ):
         basis, coeffs = geometry._pullback(fiber, exps, jet=True)
-        U, log_scale = geometry.monomial_jet(basis, np.eye(len(basis.exponents)), u)
+        ((U, log_scale),) = geometry.monomial_jet(basis, u, [(np.eye(len(basis.exponents)), basis, None)])
         assert np.max(np.abs(U)) <= 1.0 + 1e-12
         got = np.einsum("jap,pb->bja", coeffs, U) * np.exp(log_scale)[:, None, None]
         values, derivs = _direct_jet(fiber, exps, u)
@@ -320,13 +328,13 @@ def test_far_draws_at_high_pulled_back_degree_stay_finite(monkeypatch):
 
 def _separate_tables_mean(fiber, exps, k):
     """A Gram batch mean with one power table for the chart's jet and another for the sections."""
-    own = geometry._chart_jet(fiber)
+    own_basis, own = geometry._chart_jet(fiber)
     basis, C = geometry._pullback(fiber, exps, jet=False)
 
     def mean(chart, u, pdf):
-        jet, log_own = geometry.monomial_jet(*own, u)
+        ((jet, log_own),) = geometry.monomial_jet(own_basis, u, [(own, own_basis, None)])
         w, _, S = geometry._embedded_points(chart, jet, u, pdf)
-        V, log_scale = geometry.monomial_jet(basis, C[0], u)
+        ((V, log_scale),) = geometry.monomial_jet(basis, u, [(C[0], basis, None)])
         V *= np.exp(log_scale - k * (0.5 * np.log(S) + log_own))
         return geometry._weighted_outer_mean(w, V.T)
 
@@ -344,21 +352,16 @@ def _separate_tables_mean(fiber, exps, k):
     + [pytest.param(SURFACE, np.array(monomials(3, k)), id=f"surface-{k}") for k in (2, 4)],
 )
 def test_shared_power_table_matches_separate_tables(fiber, exps, far, monkeypatch):
-    # one table for the chart's jet and the sections, each block with its own
-    # scale, against a table each; on a curve the jet's basis is a prefix of
-    # the sections', so the products and every bit agree
+    # one table for the chart's jet and the sections, each block on its own
+    # rows with its own scale, against a table each: the products are the
+    # same, so every bit agrees, on the surface too
     if far:
         monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
     k = int(exps[0].sum())
     want = mc_charts([fiber], _separate_tables_mean(fiber, exps, k), 8192, 7)
     _, got = gram_matrix([fiber], exps, k, 8192, 7)
-    if fiber.dim == 1:
-        assert np.array_equal(got.value, want.value)
-        assert np.array_equal(got.stderr, want.stderr)
-    else:
-        # the union has rows the jet lacks: zero columns move its product at rounding level
-        scale = np.max(np.abs(want.value))
-        assert np.max(np.abs(got.value - want.value)) <= 1e-13 * scale
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.stderr, want.stderr)
 
 
 def test_shared_power_table_at_pulled_back_degree_48(monkeypatch):
@@ -370,6 +373,54 @@ def test_shared_power_table_at_pulled_back_degree_48(monkeypatch):
     assert np.array_equal(got.value, want.value)
 
 
+LADDERS = {
+    "conic": (CONIC, {k: _conic_level(k) for k in (2, 8, 16)}),
+    "mobius": (MOBIUS, {k: np.array([[k - a, a] for a in range(k + 1)]) for k in (2, 8, 16)}),
+    "surface": (SURFACE, {k: np.array(monomials(3, k)) for k in (2, 4)}),
+}
+
+
+def _same_result(got, want):
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.stderr, want.stderr)
+    assert (got.n_samples, got.seed, got.consistency_ratio) == (
+        want.n_samples, want.seed, want.consistency_ratio
+    )
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_a_level_is_bit_identical_alone_and_in_a_ladder(name, descending, monkeypatch):
+    # the Gram ladder shares the draw, the chart's jet and weights and one
+    # table; the moment ladder shares the draw.  Far draws test the scales,
+    # and a descending ladder copies the whole table before its last block
+    monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
+    fiber, levels = LADDERS[name]
+    ladder = sorted(levels.items(), reverse=descending)
+    grams = gram_ladder([fiber], ladder, 8192, 11)
+    frames = [(k, np.eye(len(exps)), exps) for k, exps in ladder]
+    moments = moment_ladder([fiber], frames, 8192, 11)
+    for (k, exps), (G, gram_mc), (M, moment_mc) in zip(ladder, grams, moments):
+        G_alone, gram_alone = gram_matrix([fiber], exps, k, 8192, 11)
+        M_alone, moment_alone = moment_matrix([fiber], np.eye(len(exps)), exps, 8192, 11)
+        assert np.array_equal(G, G_alone) and np.array_equal(M, M_alone)
+        _same_result(gram_mc, gram_alone)
+        _same_result(moment_mc, moment_alone)
+
+
+def test_a_ladder_names_the_level_chart_and_batch_of_a_nonfinite_mean():
+    charts = [LINE, CONIC]
+    failing = _failing_at(charts, 1, (3, 5), 0, lambda b: np.nan)
+
+    def means(chart, u, pdf):
+        return [np.mean(pdf), failing(chart, u, pdf)]
+
+    with pytest.raises(
+        ValueError, match=r"^non-finite integrand at level k = 8 in chart 1, batch 3 \(seed \(0,\)\)$"
+    ):
+        mc_ladder(charts, means, (4, 8), 8 * BATCH_SIZE, 0)
+
+
 def test_real_pullbacks_take_the_real_product():
     rng = np.random.default_rng(8)
     cases = ((CONIC, LEVEL8_CONIC), (MOBIUS, LEVEL8_LINE), (SURFACE, monomials(3, 4)))
@@ -378,15 +429,15 @@ def test_real_pullbacks_take_the_real_product():
         assert C.dtype == np.float64
         K = np.concatenate(C)
         u, _ = _far_draw(rng, 512, fiber.dim)
-        real, log_scale = geometry.monomial_jet(basis, K, u)
-        as_complex, same_scale = geometry.monomial_jet(basis, K.astype(complex), u)
+        ((real, log_scale),) = geometry.monomial_jet(basis, u, [(K, basis, None)])
+        ((as_complex, same_scale),) = geometry.monomial_jet(basis, u, [(K.astype(complex), basis, None)])
         assert np.array_equal(real, as_complex)
         assert np.array_equal(log_scale, same_scale)
         # a complex frame folded in stays a complex product on the same table
         G = len(K)
         Q = np.linalg.qr(rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G)))[0]
-        U, _ = geometry.monomial_jet(basis, np.eye(len(basis.exponents)), u)
-        assert np.array_equal(geometry.monomial_jet(basis, Q @ K, u)[0], (Q @ K) @ U)
+        ((U, _),) = geometry.monomial_jet(basis, u, [(np.eye(len(basis.exponents)), basis, None)])
+        assert np.array_equal(geometry.monomial_jet(basis, u, [(Q @ K, basis, None)])[0][0], (Q @ K) @ U)
 
 
 def test_moment_matrix_in_a_complex_frame_is_the_rotated_identity_frame():
@@ -631,7 +682,7 @@ def test_n2_integral_matches_the_direct_evaluator_on_the_same_draws():
             h = (sq @ lam) / np.sum(sq, axis=1)
             return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
-        _, _, per_chart = geometry._batch_means(projected, triple, 20_000, 6)
+        _, _, (per_chart,) = geometry._batch_means(projected, _one(triple), (None,), 20_000, 6)
         value, stderr, quarter = stratified_jackknife(projected, per_chart, _n2_statistic)
         out = n2_integral(cyc, exponents, lam, 20_000, 6)
         assert out.value == pytest.approx(value, rel=1e-12, abs=0)
@@ -649,11 +700,12 @@ def test_n2_stderr_on_one_chart_is_the_joint_jackknife():
     basis, K = geometry._chart_jet(CONIC)
 
     def triple(chart, u, pdf):
-        w, W, S = geometry._embedded_points(chart, geometry.monomial_jet(basis, K, u)[0], u, pdf)
+        ((jet, _),) = geometry.monomial_jet(basis, u, [(K, basis, None)])
+        w, W, S = geometry._embedded_points(chart, jet, u, pdf)
         h = (np.abs(W) ** 2).T @ lam / S
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
-    _, _, per_chart = geometry._batch_means([CONIC], triple, 40_000, 2)
+    _, _, (per_chart,) = geometry._batch_means([CONIC], _one(triple), (None,), 40_000, 2)
     out = n2_integral([CONIC], np.eye(3, dtype=int), lam, 40_000, 2)
     assert out.stderr == pytest.approx(
         joint_jackknife([CONIC], per_chart, _n2_statistic), rel=1e-12, abs=0
@@ -667,7 +719,7 @@ def test_identity_estimator_is_the_per_chart_batch_scatter():
         return np.array([np.mean(w), np.mean(w * zhat), np.mean(w * np.abs(zhat) ** 4)])
 
     charts = [LINE, chart("1", "u", "u^2", multiplicity=3)]
-    _, _, per_chart = geometry._batch_means(charts, mean, 20_000, 5)
+    _, _, (per_chart,) = geometry._batch_means(charts, _one(mean), (None,), 20_000, 5)
     value, stderr = batch_scatter(charts, per_chart)
     out = mc_charts(charts, mean, 20_000, 5)
     assert np.array_equal(out.value, value)

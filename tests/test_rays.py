@@ -89,6 +89,33 @@ def test_section_frame_structure(dl_frames, double_line):
     assert frame.lambdas[0] == pytest.approx(-(k * k) / (2 * k + 1))
 
 
+def _same_mc(got, want):
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.stderr, want.stderr)
+    assert (got.seed, got.consistency_ratio) == (want.seed, want.consistency_ratio)
+
+
+def test_a_level_reads_the_same_alone_and_in_a_ladder(double_line, dl_report):
+    # frames, masses and numeric Chow weights share their draws across a
+    # ladder, on level-free substreams: a level's output is bit-identical
+    config, fiber, cycle = double_line
+    ks = (2, 8, 16)
+    frames = rays.section_frames(config, fiber, ks, 8192, 4)
+    energies = rays.ma_masses(config, fiber, frames, dl_report, 8192, 4)
+    chow = rays.chow_weights_numeric(config, cycle, ks, 1, 8192, 4)
+    assert [f.k for f in frames] == [e.k for e in energies] == list(ks)
+    for frame, energy, numeric in zip(frames, energies, chow):
+        alone = section_frame(config, fiber, frame.k, 8192, 4)
+        assert frame.gram_mc.seed == (4, 0, rays.GRAM_TAG)
+        assert np.array_equal(frame.gram, alone.gram)
+        assert np.array_equal(frame.matrix, alone.matrix)
+        _same_mc(frame.gram_mc, alone.gram_mc)
+        energy_alone = ma_mass(config, fiber, alone, dl_report, 8192, 4)
+        assert (energy.mass, energy.mass_stderr) == (energy_alone.mass, energy_alone.mass_stderr)
+        _same_mc(energy.moment_mc, energy_alone.moment_mc)
+        _same_mc(numeric, chow_weight_numeric(config, cycle, frame.k, 1, 8192, 4))
+
+
 def test_phi_zero_matches_bergman_density(dl_frames, dl_points, dl_grid):
     frame = dl_frames[4]
     rho = oracles.bergman_density(frame.matrix, frame.exponents, dl_points.zhat)
@@ -235,7 +262,7 @@ def test_chow_slope_is_the_cycle_moment_trace(double_line, k):
     seed = 3
     numeric = chow_weight_numeric(config, cycle, k, 1, 8192, seed)
     M, _ = moment_matrix(
-        cycle, np.eye(len(lambdas)), exponents, 8192, (seed, k, 2)
+        cycle, np.eye(len(lambdas)), exponents, 8192, (seed, 0, rays.CHOW_TAG)
     )
     want = energy_derivative(M, np.diag(lambdas), 1) / 2
     assert numeric.value == pytest.approx(want, rel=1e-12, abs=0)
