@@ -32,10 +32,11 @@ from .spectra import GradedSlice, TestConfiguration, graded_slice, spectrum_tabl
 
 # submodule -> the names it defines, imported on first access (PEP 562)
 _LAZY = {
-    "geometry": "MCResult energy_derivative equivariant_gram_schmidt gram_matrix moment_matrix"
-    " n2_integral".split(),
+    "geometry": "MCResult energy_derivative equivariant_gram_schmidt gram_ladder gram_matrix"
+    " moment_ladder moment_matrix n2_integral".split(),
     "rays": "EnergyReport PointGrid RayGrid SectionFrame build_ray_grid chow_weight_numeric"
-    " convexity_report grid_points ma_mass section_frame slope_report sup_osc_report".split(),
+    " chow_weights_numeric convexity_report grid_points ma_mass ma_masses section_frame"
+    " section_frames slope_report sup_osc_report".split(),
     "cli": ["geometric_t_grid"],
 }
 

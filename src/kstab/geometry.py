@@ -12,7 +12,9 @@ estimate runs through one batch loop, so it is a deterministic function of
 (seed, sample count): fixed batch size, one generator substream per (chart,
 batch), pairwise-tree reduction, and a quarter-vs-full consistency ratio.
 The batches run in (chart, batch) order on the calling thread, and every
-result is bit-identical whatever the BLAS thread count.
+result is bit-identical whatever the BLAS thread count.  A ladder of levels
+(mc_ladder) evaluates every level's integrand on each draw and keeps each
+level's own result; a single estimate is the ladder of one.
 
 Sections are evaluated on a chart through their exact pullbacks: each
 degree-k monomial m_a(F(u)) and its derivative in u are expanded once per
@@ -24,8 +26,9 @@ most 1.  The coefficients are real, so a block without a complex frame in
 it multiplies the table's float view, half the flops of a complex product.
 The chart's own measure takes the same route: its coordinates are the
 level-1 sections.  A Gram batch lays the chart's jet [F; dF] and the
-level-k sections over one basis and shares one table between them, each
-block with its own scale, so F and the sections cost one table per draw.
+sections of every level over one basis and shares one table between them,
+each block on its own rows with its own scale, so F and the sections cost
+one table per draw, whatever the number of levels.
 """
 
 from __future__ import annotations
@@ -286,6 +289,15 @@ def monomial_jet(basis: _PowerBasis, u: np.ndarray, blocks) -> list[tuple[np.nda
     blocks run in order, each on a copy of its rows, except that a last
     block over the whole table scales the table in place.
     """
+    return list(_block_products(basis, u, blocks))
+
+
+def _block_products(basis: _PowerBasis, u: np.ndarray, blocks):
+    """monomial_jet's products, each formed when it is reached.
+
+    A caller done with one product before it takes the next holds one at a
+    time, and the table is freed with the last.
+    """
     rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
     x = (u / rho[:, None]).T.copy()
     U = np.empty((len(basis.exponents), len(u)), dtype=complex)
@@ -293,17 +305,17 @@ def monomial_jet(basis: _PowerBasis, u: np.ndarray, blocks) -> list[tuple[np.nda
     for j, lower, i in basis.steps:
         np.multiply(U[lower], x[i], out=U[j])
     log_rho = np.log(rho)
-    out = []
     for b, (K, sub, rows) in enumerate(blocks):
+        last = b == len(blocks) - 1
         if rows is not None:
             table = U[rows]
-        elif b < len(blocks) - 1:
-            table = U.copy()  # scaled apart, before a later block reads U
         else:
-            table = U
-        out.append((_times(K, _scale_rows(table, sub.starts, sub.top, rho)), sub.top * log_rho))
-        del table  # freed before the next block's rows are copied
-    return out
+            table = U if last else U.copy()  # a later block reads U unscaled
+        product = _times(K, _scale_rows(table, sub.starts, sub.top, rho))
+        del table
+        if last:
+            del U
+        yield product, sub.top * log_rho
 
 
 def _scale_rows(U: np.ndarray, starts, m: int, rho: np.ndarray) -> np.ndarray:
@@ -435,32 +447,36 @@ def gram_ladder(
     tables = {chart: _shared_table(chart, [exponents for _, exponents in levels]) for chart in charts}
 
     def means(chart, u, pdf):
-        basis, blocks = tables[chart]
-        (jet, log_own), *sections = monomial_jet(basis, u, blocks)
+        basis, order, blocks = tables[chart]
+        products = _block_products(basis, u, blocks)
+        jet, log_own = next(products)
         w, _, S = _embedded_points(chart, jet, u, pdf)
-        del jet, _  # the outer means' copies of V then fit where the jet was
+        del jet, _
         log_norm = 0.5 * np.log(S) + log_own
-        out = []
-        for (k, _), (V, log_scale) in zip(levels, sections):
-            V *= np.exp(log_scale - k * log_norm)
-            out.append(_weighted_outer_mean(w, V.T))
+        out = [None] * len(levels)
+        for i, (V, log_scale) in zip(order, products):
+            V *= np.exp(log_scale - levels[i][0] * log_norm)
+            out[i] = _weighted_outer_mean(w, V.T)
+            del V  # one level's product at a time
         return out
 
     results = mc_ladder(charts, means, [k for k, _ in levels], n_samples, seed)
     return [(hermitian_part(result.value), result) for result in results]
 
 
-def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBasis, list]:
+def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBasis, list, list]:
     """One basis for the chart's jet [F; dF] and the section pullbacks of every level.
 
     A level alone would take the downward closure of its pullbacks' support
-    and the jet's; the union of those bases is the table's.  Returns it and
-    monomial_jet's blocks: the jet on its own rows, then each level's
-    pullbacks C_0 on the rows of its own basis.
+    and the jet's; the union of those bases is the table's.  Returns it,
+    the order of the levels by descending basis size, and monomial_jet's
+    blocks: the jet on its own rows, then each level's pullbacks C_0 on the
+    rows of its own basis, in that order.
     """
     jet_basis, jet = _chart_jet(chart)
     pulled = [_pullback(chart, exponents, jet=False, also=jet_basis.exponents) for exponents in ladder]
     basis = _PowerBasis([alpha for sub, _ in pulled for alpha in sub.exponents], chart.dim)
+    order = _largest_first([sub for sub, _ in pulled])
 
     def rows(sub):
         if len(sub.exponents) == len(basis.exponents):
@@ -468,7 +484,15 @@ def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBas
         return np.array([basis.index[alpha] for alpha in sub.exponents])
 
     blocks = [(jet, jet_basis, rows(jet_basis))]
-    return basis, blocks + [(C[0], sub, rows(sub)) for sub, C in pulled]
+    return basis, order, blocks + [(pulled[i][1][0], pulled[i][0], rows(pulled[i][0])) for i in order]
+
+
+def _largest_first(bases: Sequence[_PowerBasis]) -> list[int]:
+    """Indices of the bases by descending size: a ladder forms its levels in
+    that order, so each level's arrays fit where a larger level's were
+    freed, and the heap neither grows nor is trimmed from batch to batch.
+    """
+    return sorted(range(len(bases)), key=lambda i: -len(bases[i].exponents))
 
 
 def hermitian_part(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -565,13 +589,16 @@ def embedded_ladder(
         for chart in charts
     }
 
+    order = {chart: _largest_first([basis for basis, _ in tables]) for chart, tables in folded.items()}
+
     def means(chart, u, pdf):
-        out = []
-        for (basis, K), (_, _, _, reduce) in zip(folded[chart], levels):
+        out = [None] * len(levels)
+        for i in order[chart]:
+            basis, K = folded[chart][i]
             ((jet, _),) = monomial_jet(basis, u, [(K, basis, None)])
             w, W, S = _embedded_points(chart, jet, u, pdf)
             W /= np.sqrt(S)
-            out.append(reduce(w, W.T))
+            out[i] = levels[i][3](w, W.T)
         return out
 
     return mc_ladder(charts, means, [level[0] for level in levels], n_samples, seed, statistic)
