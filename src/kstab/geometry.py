@@ -295,8 +295,9 @@ def monomial_jet(basis: _PowerBasis, u: np.ndarray, blocks) -> list[tuple[np.nda
 def _block_products(basis: _PowerBasis, u: np.ndarray, blocks):
     """monomial_jet's products, each formed when it is reached.
 
-    A caller done with one product before it takes the next holds one at a
-    time, and the table is freed with the last.
+    The generator drops each product once the caller takes the next, and
+    the table with the last, so a caller done with one product before it
+    takes the next holds one at a time.
     """
     rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
     x = (u / rho[:, None]).T.copy()
@@ -304,6 +305,7 @@ def _block_products(basis: _PowerBasis, u: np.ndarray, blocks):
     U[0] = 1.0
     for j, lower, i in basis.steps:
         np.multiply(U[lower], x[i], out=U[j])
+    del x
     log_rho = np.log(rho)
     for b, (K, sub, rows) in enumerate(blocks):
         last = b == len(blocks) - 1
@@ -311,11 +313,12 @@ def _block_products(basis: _PowerBasis, u: np.ndarray, blocks):
             table = U[rows]
         else:
             table = U if last else U.copy()  # a later block reads U unscaled
-        product = _times(K, _scale_rows(table, sub.starts, sub.top, rho))
+        product = (_times(K, _scale_rows(table, sub.starts, sub.top, rho)), sub.top * log_rho)
         del table
         if last:
-            del U
-        yield product, sub.top * log_rho
+            del U, rho, log_rho
+        yield product
+        del product
 
 
 def _scale_rows(U: np.ndarray, starts, m: int, rho: np.ndarray) -> np.ndarray:
@@ -450,11 +453,16 @@ def gram_ladder(
         basis, order, blocks = tables[chart]
         products = _block_products(basis, u, blocks)
         jet, log_own = next(products)
+        # the largest level is formed before the weights: alone, it frees
+        # the table first and the weights take its place
+        pending = [next(products)]
         w, _, S = _embedded_points(chart, jet, u, pdf)
         del jet, _
         log_norm = 0.5 * np.log(S) + log_own
         out = [None] * len(levels)
-        for i, (V, log_scale) in zip(order, products):
+        for i in order:
+            # popped, so no reference outlives the level's product
+            V, log_scale = pending.pop() if pending else next(products)
             V *= np.exp(log_scale - levels[i][0] * log_norm)
             out[i] = _weighted_outer_mean(w, V.T)
             del V  # one level's product at a time
@@ -484,7 +492,10 @@ def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBas
         return np.array([basis.index[alpha] for alpha in sub.exponents])
 
     blocks = [(jet, jet_basis, rows(jet_basis))]
-    return basis, order, blocks + [(pulled[i][1][0], pulled[i][0], rows(pulled[i][0])) for i in order]
+    for i in order:
+        sub, C = pulled[i]
+        blocks.append((C[0], sub, rows(sub)))
+    return basis, order, blocks
 
 
 def _largest_first(bases: Sequence[_PowerBasis]) -> list[int]:
