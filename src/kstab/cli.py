@@ -299,14 +299,13 @@ class Inputs:
         """The section frames at the levels ks, the missing ones built in one Gram pass.
 
         A level's frame does not depend on which levels share its pass, so
-        a frame built for one command serves every other.  Callers check the
-        fiber charts first (charts).
+        a frame built for one command serves every other.
         """
         from .rays import section_frames
 
         missing = sorted(k for k in set(ks) if (k, samples, seed) not in self.frames)
         if missing:
-            for frame in section_frames(self.config, self.fiber, missing, samples, seed):
+            for frame in section_frames(self.config, self.charts("fiber"), missing, samples, seed):
                 self.frames[frame.k, samples, seed] = frame
         return [self.frames[k, samples, seed] for k in ks]
 
@@ -558,7 +557,6 @@ def _cmd_report(run: argparse.Namespace, inputs: Inputs) -> tuple[dict, list[Che
     if inputs.fiber:
         sub = argparse.Namespace(**{**vars(run), "k": run.k or (2, 3, 4, 6)})
         # one Gram pass for the levels of mass and ray together
-        inputs.charts("fiber")
         inputs.frames_at({*sub.k, *(run.k or RAY_LEVELS)}, run.samples, run.seed)
         payload["mass"], c = _cmd_mass(sub, inputs)
         checks += c
