@@ -453,8 +453,8 @@ def gram_ladder(
         basis, order, blocks = tables[chart]
         products = _block_products(basis, u, blocks)
         jet, log_own = next(products)
-        # the largest level is formed before the weights: alone, it frees
-        # the table first and the weights take its place
+        # the first level is formed before the weights: alone, it frees the
+        # table first and the weights take its place
         pending = [next(products)]
         w, _, S = _embedded_points(chart, jet, u, pdf)
         del jet, _
@@ -477,14 +477,16 @@ def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBas
 
     A level alone would take the downward closure of its pullbacks' support
     and the jet's; the union of those bases is the table's.  Returns it,
-    the order of the levels by descending basis size, and monomial_jet's
+    the order of the levels by ascending basis size, and monomial_jet's
     blocks: the jet on its own rows, then each level's pullbacks C_0 on the
-    rows of its own basis, in that order.
+    rows of its own basis, in that order.  A level over the whole table so
+    comes last and scales it in place, where an earlier block would scale
+    a copy.
     """
     jet_basis, jet = _chart_jet(chart)
     pulled = [_pullback(chart, exponents, jet=False, also=jet_basis.exponents) for exponents in ladder]
     basis = _PowerBasis([alpha for sub, _ in pulled for alpha in sub.exponents], chart.dim)
-    order = _largest_first([sub for sub, _ in pulled])
+    order = _largest_first([sub for sub, _ in pulled])[::-1]
 
     def rows(sub):
         if len(sub.exponents) == len(basis.exponents):
@@ -499,9 +501,9 @@ def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBas
 
 
 def _largest_first(bases: Sequence[_PowerBasis]) -> list[int]:
-    """Indices of the bases by descending size: a ladder forms its levels in
-    that order, so each level's arrays fit where a larger level's were
-    freed, and the heap neither grows nor is trimmed from batch to batch.
+    """Indices of the bases by descending size: an embedded ladder forms its
+    levels in that order, so each level's arrays fit where a larger level's
+    were freed, and the heap neither grows nor is trimmed from batch to batch.
     """
     return sorted(range(len(bases)), key=lambda i: -len(bases[i].exponents))
 

@@ -393,7 +393,7 @@ def _same_result(got, want):
 def test_a_level_is_bit_identical_alone_and_in_a_ladder(name, descending, monkeypatch):
     # the Gram ladder shares the draw, the chart's jet and weights and one
     # table; the moment ladder shares the draw.  Far draws test the scales,
-    # and a descending ladder copies the whole table before its last block
+    # and either order of the input maps each level back to its place
     monkeypatch.setattr(geometry, "_draw_batch", _far_draw)
     fiber, levels = LADDERS[name]
     ladder = sorted(levels.items(), reverse=descending)
