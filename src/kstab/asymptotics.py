@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence
 
-from .spectra import TestConfiguration, graded_slice
+from .spectra import TestConfiguration, graded_slice, top_level
 
 
 def newton_power_coefficients(
@@ -292,12 +292,14 @@ def chow_sweep(
     return ChowSweep(reports=reports, fitted_C=fitted, decay_ok=decay_ok)
 
 
-def operator_norm_check(config: TestConfiguration, k_max: int, report: AsymptoticReport) -> dict:
-    """Exact check that max |lambda|/k stays within the linear-growth budget."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+def operator_norm_check(config: TestConfiguration, report: AsymptoticReport) -> dict:
+    """Exact check that max |lambda|/k stays within the linear-growth budget.
+
+    The sweep reads levels 1 to 30, or to the highest level graded_slice
+    builds when that is lower (top_level).
+    """
     c_star = Fraction(0)
-    for k in range(1, k_max + 1):
+    for k in range(1, min(30, top_level(len(config.variables))) + 1):
         sl = graded_slice(config, k)
         # the extreme traceless weights are (d b - w)/d at the two ends of b
         d, w = sl.dim, sl.total_weight

@@ -168,6 +168,9 @@ def _batch_means(
     return seed, n_batches, per_level
 
 
+# The single-level forms mc_charts, gram_matrix, moment_matrix and, in rays,
+# section_frame and ma_mass stay: bench/tracing.py traces them and
+# tests/test_bench_selfcheck.py pins them.
 def mc_charts(
     charts: Sequence[Chart],
     batch_mean: Callable[[Chart, np.ndarray, np.ndarray], np.ndarray],
@@ -275,29 +278,32 @@ class _PowerBasis:
         self.starts = np.searchsorted([sum(alpha) for alpha in self.exponents], range(self.top + 2))
 
 
-def monomial_jet(basis: _PowerBasis, u: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Products K @ U of coefficient blocks on one power table of a (B, d) batch.
+def monomial_jet(basis: _PowerBasis, u: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The product K @ U of a coefficient matrix on the power table of a (B, d) batch.
 
     The power table x^alpha, x = u / rho with rho = max(1, max_i |u_i|), is
-    built once over the basis rows.  A block (K, sub, rows) reads the rows
-    of the sub-basis sub, at the basis indices rows (None when sub is the
-    basis), scaled to U = u^alpha / rho^m with m = sub.top, so every entry
-    is at most 1 in modulus; K (G, len(sub.exponents)) stacks pullback
-    coefficients (_pullback), any frame folded in.  Each block keeps its
-    own scale: a chart's jet keeps rho^-deg F, which the sections' rho^-top
-    could underflow far out.  Returns (K @ U, log(rho^m)) per block.  The
-    blocks run in order, each on a copy of its rows, except that a last
-    block over the whole table scales the table in place.
+    built over the basis rows and scaled in place to U = u^alpha / rho^m
+    with m = basis.top, so every entry is at most 1 in modulus; K (G,
+    len(basis.exponents)) stacks pullback coefficients (_pullback), any
+    frame folded in.  Returns (K @ U, log(rho^m)).
     """
-    return list(_block_products(basis, u, blocks))
+    (product,) = _block_products(basis, u, [(K, basis, None)])
+    return product
 
 
 def _block_products(basis: _PowerBasis, u: np.ndarray, blocks):
-    """monomial_jet's products, each formed when it is reached.
+    """monomial_jet's products for a list of coefficient blocks on one power table.
 
-    The generator drops each product once the caller takes the next, and
-    the table with the last, so a caller done with one product before it
-    takes the next holds one at a time.
+    A block (K, sub, rows) reads the rows of the sub-basis sub, at the
+    basis indices rows (None when sub is the basis), scaled to U = u^alpha
+    / rho^m with m = sub.top.  Each block keeps its own scale: a chart's
+    jet keeps rho^-deg F, which the sections' rho^-top could underflow far
+    out.  Yields (K @ U, log(rho^m)) per block, each formed when it is
+    reached.  The blocks run in order, each on a copy of its rows, except
+    that a last block over the whole table scales the table in place.  The
+    generator drops each product once the caller takes the next, and the
+    table with the last, so a caller done with one product before it takes
+    the next holds one at a time.
     """
     rho = np.maximum(1.0, np.max(np.abs(u), axis=1))
     x = (u / rho[:, None]).T.copy()
@@ -368,7 +374,7 @@ def _pullback(
 
 
 def _chart_jet(chart: Chart) -> tuple[_PowerBasis, np.ndarray]:
-    """The chart's own jet [F; dF], folded as embedded_mc folds a frame."""
+    """The chart's own jet [F; dF], folded as embedded_ladder folds a frame."""
     basis, C = _pullback(chart, np.eye(chart.ambient_count, dtype=int), jet=True)
     return basis, np.concatenate(C)
 
@@ -389,7 +395,7 @@ def _embedded_points(
     S = _squared_norms(W)
     if np.any(S == 0):
         basis, K = _chart_jet(chart)
-        F = monomial_jet(basis, u[S == 0], [(K, basis, None)])[0][0][: chart.ambient_count]
+        F = monomial_jet(basis, u[S == 0], K)[0][: chart.ambient_count]
         if np.all(np.any(F != 0, axis=0)):
             raise ValueError("embedded point vanished: sections do not span here")
     dens = fs_density_values(W, jet[1:], S)  # raises at an indeterminate point
@@ -477,7 +483,7 @@ def _shared_table(chart: Chart, ladder: Sequence[np.ndarray]) -> tuple[_PowerBas
 
     A level alone would take the downward closure of its pullbacks' support
     and the jet's; the union of those bases is the table's.  Returns it,
-    the order of the levels by ascending basis size, and monomial_jet's
+    the order of the levels by ascending basis size, and _block_products'
     blocks: the jet on its own rows, then each level's pullbacks C_0 on the
     rows of its own basis, in that order.  A level over the whole table so
     comes last and scales it in place, where an earlier block would scale
@@ -556,35 +562,6 @@ def equivariant_gram_schmidt(weights: Sequence, gram: np.ndarray) -> np.ndarray:
 # -- embedded cycles (Bergman geometry) ---------------------------------------
 
 
-def embedded_mc(
-    charts: Sequence[Chart],
-    gs_matrix: np.ndarray,
-    exponents: np.ndarray,
-    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n_samples: int,
-    seed,
-    statistic: Callable = lambda total: total,
-) -> MCResult:
-    """Monte Carlo integral over the cycle embedded by the sections gs_matrix @ m.
-
-    reduce(w, V) gets the importance weights w (B,) of the FS volume of the
-    embedded image and its unit points V (B, D), and returns the batch mean
-    of the integrand; statistic is applied to the multiplicity-weighted
-    total as in mc_charts.
-
-    The frame is folded into the pullbacks once, K = [M C_0; M C_1; ...],
-    so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
-    their partials dW by u_1..u_d.  The pullbacks are real, so K is real
-    for a real frame (the identity of n2_integral and chow_weight_numeric)
-    and takes the real product; a complex frame makes K complex.  It is
-    the ladder of one.
-    """
-    (result,) = embedded_ladder(
-        charts, [(None, gs_matrix, exponents, reduce)], n_samples, seed, statistic
-    )
-    return result
-
-
 def embedded_ladder(
     charts: Sequence[Chart],
     levels: Sequence[tuple],
@@ -592,9 +569,21 @@ def embedded_ladder(
     seed,
     statistic: Callable = lambda total: total,
 ) -> list[MCResult]:
-    """embedded_mc at each (k, gs_matrix, exponents, reduce) of levels, from one draw per batch.
+    """Monte Carlo integrals over the cycle embedded at each level, from one draw per batch.
 
-    The levels share only the draw: each one's weights come from its own
+    A level (k, gs_matrix, exponents, reduce) embeds the cycle by the
+    sections gs_matrix @ m of the monomial rows of exponents; k labels it in
+    errors (None for a lone integral).  reduce(w, V) gets the importance
+    weights w (B,) of the FS volume of the embedded image and its unit
+    points V (B, D), and returns the batch mean of the integrand; statistic
+    is applied to each level's multiplicity-weighted total as in mc_charts.
+
+    Each frame is folded into its pullbacks once, K = [M C_0; M C_1; ...],
+    so one monomial_jet product K @ U gives the sections W = M m(F(u)) and
+    their partials dW by u_1..u_d.  The pullbacks are real, so K is real
+    for a real frame (the identity of n2_integral and chow_weights_numeric)
+    and takes the real product; a complex frame makes K complex.  The
+    levels share only the draw: each one's weights come from its own
     embedding, so each builds its own table, exactly as it would alone.
     """
     folded = {
@@ -608,7 +597,7 @@ def embedded_ladder(
         out = [None] * len(levels)
         for i in order[chart]:
             basis, K = folded[chart][i]
-            ((jet, _),) = monomial_jet(basis, u, [(K, basis, None)])
+            jet, _ = monomial_jet(basis, u, K)
             w, W, S = _embedded_points(chart, jet, u, pdf)
             W /= np.sqrt(S)
             out[i] = levels[i][3](w, W.T)
@@ -675,7 +664,7 @@ def n2_integral(
     """Centered second moment of the Hamiltonian over the embedded cycle.
 
     The cycle is embedded by the monomial rows of exponents, as in
-    embedded_mc, and h = sum lambda_a |z_a|^2 / |z|^2 in that frame.  The
+    embedded_ladder, and h = sum lambda_a |z_a|^2 / |z|^2 in that frame.  The
     mean h-hat is taken over the multiplicity-weighted cycle, so the result
     is invariant under lambda -> lambda + c.  Returns int (h - h_hat)^2 =
     m2 - m1^2 / mass, the statistic of the cycle's (mass, int h, int h^2).
@@ -690,4 +679,7 @@ def n2_integral(
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])
 
     statistic = lambda t: t[2] - t[1] * t[1] / t[0]
-    return embedded_mc(charts, np.eye(len(lam)), exponents, triple, n_samples, seed, statistic)
+    (result,) = embedded_ladder(
+        charts, [(None, np.eye(len(lam)), exponents, triple)], n_samples, seed, statistic
+    )
+    return result

@@ -76,6 +76,9 @@ class SectionFrame:
     gram_mc: MCResult
 
 
+# The single-level forms section_frame, ma_mass and, in geometry, mc_charts,
+# gram_matrix and moment_matrix stay: bench/tracing.py traces them and
+# tests/test_bench_selfcheck.py pins them.
 def section_frame(
     config: TestConfiguration,
     fiber: Sequence[Chart],
@@ -433,7 +436,7 @@ class EnergyReport:
 
     edot_zero is energy_derivative, (n+1) Tr((B + B*) M).  In that
     normalization the slope over the flat limit X_0 is 2 mu/n! (see
-    chow_weight_numeric), so -mu is not minus the X_0 slope.  On
+    chow_weights_numeric), so -mu is not minus the X_0 slope.  On
     conic_double_line at k = 1 it is the slope of the ray's own limit:
     exp(t A_1) takes the fiber to {xz = 0} as t -> -infinity, where the
     slope is -2/3 = -mu, while X_0 = 2{y = 0} has slope 4/3 = 2 mu.
@@ -497,15 +500,14 @@ def ma_masses(
     return energies
 
 
-def chow_weight_numeric(
+def chow_weights_numeric(
     config: TestConfiguration,
     cycle: Sequence[Chart],
-    k: int,
-    n: int,
+    ks: Sequence[int],
     n_samples: int,
     seed: int,
-) -> MCResult:
-    """mu(Z_k, A_k) as an FS integral over the flat-limit cycle, no flow.
+) -> list[MCResult]:
+    """mu(Z_k, A_k) at each level of ks as an FS integral over the flat-limit cycle, no flow.
 
     Z_k is the cycle X_0 (cycle charts with their multiplicities) embedded
     by the level-k standard monomials, and A_k = diag(lambda) carries the
@@ -515,33 +517,22 @@ def chow_weight_numeric(
     H^0(Z_k, O(p)) grows as p^(n+1)/n! int h omega^n (Duistermaat-Heckman).
     chow_weight_algebraic reads mu as (n+1)! times that p^(n+1)
     coefficient, so mu = (n+1) int_{Z_k} h omega^n.  The sampled measure is
-    omega^n/n!, hence the (n+1)! per sample.
+    omega^n/n!, hence the (n+1)! per sample.  n is the cycle charts'
+    parameter count, the dimension of X.
 
     In energy_derivative's normalization, with M the moment matrix of Z_k
     and B = diag(lambda), (n+1) Tr((B + B*) M) = 2 (n+1) sum_a lambda_a
     M_aa = 2 mu/n!: the 2 is the B + B* of a real generator, and on a curve
-    the slope is 2 mu.
+    the slope is 2 mu.  The levels run in one pass over shared draws.
     """
-    (result,) = chow_weights_numeric(config, cycle, (k,), n, n_samples, seed)
-    return result
-
-
-def chow_weights_numeric(
-    config: TestConfiguration,
-    cycle: Sequence[Chart],
-    ks: Sequence[int],
-    n: int,
-    n_samples: int,
-    seed: int,
-) -> list[MCResult]:
-    """chow_weight_numeric at each level of ks, from one pass over shared draws."""
+    factor = math.factorial(cycle[0].dim + 1)
     ladder = []
     for k in ks:
         sl = graded_slice(config, k)
         lambdas = np.array([float(a) for a in sl.a_spectrum])
 
         def reduce(w, V, lambdas=lambdas):
-            return math.factorial(n + 1) * np.mean(w * ((np.abs(V) ** 2) @ lambdas))
+            return factor * np.mean(w * ((np.abs(V) ** 2) @ lambdas))
 
         ladder.append((k, np.eye(len(lambdas)), sl.monomials, reduce))
     return embedded_ladder(cycle, ladder, n_samples, (seed, 0, CHOW_TAG))

@@ -434,10 +434,10 @@ def test_futaki_f_tracks_f1():
 
 def test_operator_norm_budget():
     for config in (DOUBLE_LINE, TWO_LINES, PRODUCT, TRIVIAL):
-        out = operator_norm_check(config, 30, fit_asymptotics(config))
+        out = operator_norm_check(config, fit_asymptotics(config))
         assert out["pass"]
         assert out["C_star"] <= out["budget"]
-    dl = operator_norm_check(DOUBLE_LINE, 12, fit_asymptotics(DOUBLE_LINE))
+    dl = operator_norm_check(DOUBLE_LINE, fit_asymptotics(DOUBLE_LINE))
     assert dl["C_star"] == Fraction(2, 3)
     assert dl["budget"] == Fraction(5, 2)
 
@@ -449,7 +449,7 @@ def test_operator_norm_sweep_on_the_p5_quadric():
     )
     assert spectra.top_level(6) == 26
     try:
-        out = operator_norm_check(config, 26, fit_asymptotics(config))
+        out = operator_norm_check(config, fit_asymptotics(config))
         assert out == {"C_star": Fraction(13, 6), "budget": Fraction(69, 10), "pass": True}
     finally:
         spectra._levels.cache_clear()  # release the 26 levels

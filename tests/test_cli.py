@@ -571,6 +571,17 @@ def test_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_sample_ceiling_is_refused_at_parse_time(tmp_path, capsys):
+    # the jackknife keeps every batch mean, so --samples bounds memory;
+    # futaki never samples, so only the parser can refuse the count
+    ceiling = cli.MAX_SAMPLES
+    assert ceiling == 100 * cli.build_parser().get_default("samples")
+    assert run(["futaki", DL, "--samples", str(ceiling + 1)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"argument --samples: must be at most {ceiling}, got {ceiling + 1}" in err
+    assert run(["futaki", DL, "--samples", str(ceiling)], tmp_path) == 0
+
+
 def write_config(tmp_path, **overrides):
     body = {
         "name": "probe",

@@ -15,7 +15,7 @@ import pytest
 from kstab import Chart, geometry, parse_polynomial
 from kstab.geometry import (
     BATCH_SIZE,
-    embedded_mc,
+    embedded_ladder,
     energy_derivative,
     equivariant_gram_schmidt,
     fs_density_values,
@@ -118,7 +118,9 @@ def test_engine_names_a_vanished_embedded_point():
     # [1 : 0 : u] is defined everywhere, but its one section z_1 vanishes on it
     line = chart("1", "0", "u")
     with pytest.raises(ValueError, match="^embedded point vanished: sections do not span here$"):
-        embedded_mc([line], np.eye(1), np.array([[0, 1, 0]]), lambda w, V: np.mean(w), 8192, 0)
+        embedded_ladder(
+            [line], [(None, np.eye(1), np.array([[0, 1, 0]]), lambda w, V: np.mean(w))], 8192, 0
+        )
 
 
 # -- Monte Carlo engine --------------------------------------------------------------
@@ -287,7 +289,7 @@ def test_monomial_values_and_jet_exact():
         (SURFACE, np.array(monomials(3, 3)), uv_points),
     ):
         basis, coeffs = geometry._pullback(fiber, exps, jet=True)
-        ((U, log_scale),) = geometry.monomial_jet(basis, u, [(np.eye(len(basis.exponents)), basis, None)])
+        U, log_scale = geometry.monomial_jet(basis, u, np.eye(len(basis.exponents)))
         assert np.max(np.abs(U)) <= 1.0 + 1e-12
         got = np.einsum("jap,pb->bja", coeffs, U) * np.exp(log_scale)[:, None, None]
         values, derivs = _direct_jet(fiber, exps, u)
@@ -332,9 +334,9 @@ def _separate_tables_mean(fiber, exps, k):
     basis, C = geometry._pullback(fiber, exps, jet=False)
 
     def mean(chart, u, pdf):
-        ((jet, log_own),) = geometry.monomial_jet(own_basis, u, [(own, own_basis, None)])
+        jet, log_own = geometry.monomial_jet(own_basis, u, own)
         w, _, S = geometry._embedded_points(chart, jet, u, pdf)
-        ((V, log_scale),) = geometry.monomial_jet(basis, u, [(C[0], basis, None)])
+        V, log_scale = geometry.monomial_jet(basis, u, C[0])
         V *= np.exp(log_scale - k * (0.5 * np.log(S) + log_own))
         return geometry._weighted_outer_mean(w, V.T)
 
@@ -429,15 +431,15 @@ def test_real_pullbacks_take_the_real_product():
         assert C.dtype == np.float64
         K = np.concatenate(C)
         u, _ = _far_draw(rng, 512, fiber.dim)
-        ((real, log_scale),) = geometry.monomial_jet(basis, u, [(K, basis, None)])
-        ((as_complex, same_scale),) = geometry.monomial_jet(basis, u, [(K.astype(complex), basis, None)])
+        real, log_scale = geometry.monomial_jet(basis, u, K)
+        as_complex, same_scale = geometry.monomial_jet(basis, u, K.astype(complex))
         assert np.array_equal(real, as_complex)
         assert np.array_equal(log_scale, same_scale)
         # a complex frame folded in stays a complex product on the same table
         G = len(K)
         Q = np.linalg.qr(rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G)))[0]
-        ((U, _),) = geometry.monomial_jet(basis, u, [(np.eye(len(basis.exponents)), basis, None)])
-        assert np.array_equal(geometry.monomial_jet(basis, u, [(Q @ K, basis, None)])[0][0], (Q @ K) @ U)
+        U, _ = geometry.monomial_jet(basis, u, np.eye(len(basis.exponents)))
+        assert np.array_equal(geometry.monomial_jet(basis, u, Q @ K)[0], (Q @ K) @ U)
 
 
 def test_moment_matrix_in_a_complex_frame_is_the_rotated_identity_frame():
@@ -476,7 +478,7 @@ def test_gram_rejects_exponent_rows_that_do_not_fit():
     with pytest.raises(ValueError, match=r"exponent row \[2, 0\] does not have degree k = 1"):
         gram_matrix([LINE], [[2, 0], [1, 1]], 1, 8192, 0)
     with pytest.raises(ValueError, match=r"exponent row \[1, 0, 0\] has 3 entries for 2 chart"):
-        embedded_mc([LINE], np.eye(1), [[1, 0, 0]], lambda w, V: np.mean(w), 8192, 0)
+        embedded_ladder([LINE], [(None, np.eye(1), [[1, 0, 0]], lambda w, V: np.mean(w))], 8192, 0)
     with pytest.raises(ValueError, match=r"^3 weights for 2 exponent rows$"):
         n2_integral([LINE], np.eye(2, dtype=int), [1.0, 0.0, -1.0], 8192, 0)
     with pytest.raises(ValueError, match=r"exponent row \[1, 0, 0\] has 3 entries for 2 chart"):
@@ -700,7 +702,7 @@ def test_n2_stderr_on_one_chart_is_the_joint_jackknife():
     basis, K = geometry._chart_jet(CONIC)
 
     def triple(chart, u, pdf):
-        ((jet, _),) = geometry.monomial_jet(basis, u, [(K, basis, None)])
+        jet, _ = geometry.monomial_jet(basis, u, K)
         w, W, S = geometry._embedded_points(chart, jet, u, pdf)
         h = (np.abs(W) ** 2).T @ lam / S
         return np.array([np.mean(w), np.mean(w * h), np.mean(w * h * h)])

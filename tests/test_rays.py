@@ -13,7 +13,7 @@ from kstab import (
     TestConfiguration,
     build_ray_grid,
     chow_weight_algebraic,
-    chow_weight_numeric,
+    chow_weights_numeric,
     convexity_report,
     energy_derivative,
     fit_asymptotics,
@@ -102,7 +102,7 @@ def test_a_level_reads_the_same_alone_and_in_a_ladder(double_line, dl_report):
     ks = (2, 8, 16)
     frames = rays.section_frames(config, fiber, ks, 8192, 4)
     energies = rays.ma_masses(config, fiber, frames, dl_report, 8192, 4)
-    chow = rays.chow_weights_numeric(config, cycle, ks, 1, 8192, 4)
+    chow = chow_weights_numeric(config, cycle, ks, 8192, 4)
     assert [f.k for f in frames] == [e.k for e in energies] == list(ks)
     for frame, energy, numeric in zip(frames, energies, chow):
         alone = section_frame(config, fiber, frame.k, 8192, 4)
@@ -113,7 +113,8 @@ def test_a_level_reads_the_same_alone_and_in_a_ladder(double_line, dl_report):
         energy_alone = ma_mass(config, fiber, alone, dl_report, 8192, 4)
         assert (energy.mass, energy.mass_stderr) == (energy_alone.mass, energy_alone.mass_stderr)
         _same_mc(energy.moment_mc, energy_alone.moment_mc)
-        _same_mc(numeric, chow_weight_numeric(config, cycle, frame.k, 1, 8192, 4))
+        (numeric_alone,) = chow_weights_numeric(config, cycle, (frame.k,), 8192, 4)
+        _same_mc(numeric, numeric_alone)
 
 
 def test_phi_zero_matches_bergman_density(dl_frames, dl_points, dl_grid):
@@ -260,7 +261,7 @@ def test_chow_slope_is_the_cycle_moment_trace(double_line, k):
     exponents = np.array(sl.monomials, dtype=int)
     lambdas = np.array([float(a) for a in sl.a_spectrum])
     seed = 3
-    numeric = chow_weight_numeric(config, cycle, k, 1, 8192, seed)
+    (numeric,) = chow_weights_numeric(config, cycle, (k,), 8192, seed)
     M, _ = moment_matrix(
         cycle, np.eye(len(lambdas)), exponents, 8192, (seed, 0, rays.CHOW_TAG)
     )
@@ -275,7 +276,7 @@ def test_chow_slope_is_the_cycle_moment_trace(double_line, k):
 def test_chow_weight_numeric_reads_the_exact_weight(request, fixture, k):
     config, _, cycle = request.getfixturevalue(fixture)
     report = fit_asymptotics(config)
-    numeric = chow_weight_numeric(config, cycle, k, report.n, SAMPLES, SEED)
+    (numeric,) = chow_weights_numeric(config, cycle, (k,), SAMPLES, SEED)
     exact = float(chow_weight_algebraic(config, k, report).mu)
     assert abs(numeric.value - exact) <= 4 * numeric.stderr
     assert numeric.consistency_ratio <= 1.0
@@ -299,6 +300,6 @@ def test_chow_weight_numeric_on_a_surface():
     report = fit_asymptotics(config)
     assert report.n == 2
     for k in (1, 2):
-        numeric = chow_weight_numeric(config, cycle, k, 2, SAMPLES, SEED)
+        (numeric,) = chow_weights_numeric(config, cycle, (k,), SAMPLES, SEED)
         exact = float(chow_weight_algebraic(config, k, report).mu)
         assert abs(numeric.value - exact) <= 4 * numeric.stderr
