@@ -64,6 +64,7 @@ CONVEXITY_TOL = 1e-9
 # the levels of ray and envelope without --k
 RAY_LEVELS = (4, 8, 16)
 _AUTO_PARAMS = ("u", "v", "w")
+_CHART_KEYS = {"fiber": ("components",), "cycle": ("components", "multiplicity")}
 
 
 class ConfigError(ValueError):
@@ -79,38 +80,35 @@ def _is_int(value) -> bool:
 
 
 def _parse_chart(entry: dict, section: str, index: int) -> Chart:
+    """A chart in u, v, w up to the last parameter its components use.
+
+    X is reduced, so a fiber chart takes only components; a cycle chart may
+    add the multiplicity of its component of X_0.
+    """
+    where = f"{section}[{index}]"
     if not isinstance(entry, dict):
-        raise ConfigError(f"{section}[{index}] must be an object")
-    if "law" in entry:
-        raise ConfigError(
-            f"{section}[{index}]: the 'law' key is not supported; charts are "
-            "always sampled from the Fubini-Study law (remove the key)"
-        )
-    spec = entry.get("chart_vars", 1)
-    if _is_int(spec):
-        if not 1 <= spec <= len(_AUTO_PARAMS):
+        raise ConfigError(f"{where} must be an object")
+    keys = _CHART_KEYS[section]
+    for key in entry:
+        if key not in keys:
+            allowed = " and ".join(map(repr, keys))
             raise ConfigError(
-                f"{section}[{index}]: chart_vars must be between 1 and "
-                f"{len(_AUTO_PARAMS)}"
+                f"{where}: a {section} chart takes only {allowed}, not {key!r} (remove the key)"
             )
-        params = _AUTO_PARAMS[:spec]
-    elif isinstance(spec, list) and all(isinstance(s, str) for s in spec):
-        params = tuple(spec)
-    else:
-        raise ConfigError(
-            f"{section}[{index}]: chart_vars must be a count or a name list"
-        )
     components = entry.get("components")
     if not isinstance(components, list) or not components:
-        raise ConfigError(f"{section}[{index}]: components must be a non-empty list")
+        raise ConfigError(f"{where}: components must be a non-empty list")
     multiplicity = entry.get("multiplicity", 1)
     if not _is_int(multiplicity):
-        raise ConfigError(f"{section}[{index}]: multiplicity must be an integer")
+        raise ConfigError(f"{where}: multiplicity must be an integer")
     try:
-        polys = tuple(parse_polynomial(str(c), params) for c in components)
-        return Chart(params=params, components=polys, multiplicity=multiplicity)
+        polys = [parse_polynomial(str(c), _AUTO_PARAMS) for c in components]
+        last = max((i for p in polys for e in p.terms for i, a in enumerate(e) if a), default=0)
+        params = _AUTO_PARAMS[: last + 1]
+        polys = [parse_polynomial(str(c), params) for c in components]
+        return Chart(params=params, components=tuple(polys), multiplicity=multiplicity)
     except ValueError as exc:
-        raise ConfigError(f"{section}[{index}]: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_configuration(
@@ -219,7 +217,7 @@ def _write_csv(path: Path, grid) -> None:
     for j, t in enumerate(grid.t_grid):
         for p, label in enumerate(grid.labels):
             for i, k in enumerate(grid.k_set):
-                phi = float(grid.shifted[i, j, p])
+                phi = float(grid.phi[i, j, p])
                 env = float(grid.envelope[j, p])
                 lines.append(f"{float(t)!r},{label},{k},{phi!r},{env!r}")
     path.write_text("\n".join(lines) + "\n")
@@ -655,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="near:far:steps geometric grid of negative times (default -0.1:-40:25)",
     )
     parser.add_argument("--samples", type=_int_in(MIN_SAMPLES, MAX_SAMPLES), default=100_000)
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
+    parser.add_argument("--seed", type=_int_in(0), default=0, help="RNG seed (echoed in reports)")
     parser.add_argument("--numeric", action="store_true", help="add the sampled Chow cross-check")
     parser.add_argument("--out", type=Path, default=Path("."))
     return parser

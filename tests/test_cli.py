@@ -205,6 +205,20 @@ def test_ray_writes_json_and_csv(tmp_path):
     assert payload["k_set"] == [2, 4]
     assert payload["slope_check"]["ok"] is True
     assert payload["convexity_check"]["ok"] is True
+    # phi is phi(t;k) itself; the envelope is taken over phi + c_k - eps_k t
+    inputs = cli.Inputs(*cli.load_configuration(DL))
+    grid = rays.build_ray_grid(
+        inputs.frames_at((2, 4), 10000, 0),
+        cli.geometric_t_grid(-0.5, -30.0, 8),
+        rays.grid_points(inputs.config, inputs.fiber),
+        inputs.fit.n,
+        float(inputs.fit.degree_volume),
+    )
+    rows = [line.split(",") for line in lines[1:]]
+    phi = [float(row[3]) for row in rows]  # rows run over t, then point, then k
+    assert phi == grid.phi.transpose(1, 2, 0).ravel().tolist()
+    assert [float(row[4]) for row in rows] == grid.envelope.repeat(2).tolist()
+    assert (payload["c_k"], payload["eps_k"]) == (list(grid.c_k), list(grid.eps_k))
 
 
 def test_ray_accepts_high_levels(tmp_path):
@@ -582,6 +596,19 @@ def test_sample_ceiling_is_refused_at_parse_time(tmp_path, capsys):
     assert run(["futaki", DL, "--samples", str(ceiling)], tmp_path) == 0
 
 
+def test_negative_seed_is_refused_at_parse_time(tmp_path):
+    # futaki used to accept it, and n2 to load NumPy and fit before its
+    # sampler refused it without naming the flag
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "futaki", str(tmp_path), "--seed=-1"],
+        input=DL,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[2] False False"
+    assert "argument --seed: must be at least 0, got -1" in proc.stderr
+
+
 def write_config(tmp_path, **overrides):
     body = {
         "name": "probe",
@@ -630,7 +657,7 @@ def test_non_integer_weights(tmp_path, capsys):
     assert "integer" in err or "weights" in err
 
 
-CHART = {"chart_vars": 1, "components": ["1", "0", "u"]}
+CHART = {"components": ["1", "0", "u"]}
 
 
 @pytest.mark.parametrize(
@@ -641,8 +668,6 @@ CHART = {"chart_vars": 1, "components": ["1", "0", "u"]}
         ({"cycle": [{**CHART, "multiplicity": 2.7}]}, "multiplicity"),
         ({"cycle": [{**CHART, "multiplicity": "2"}]}, "multiplicity"),
         ({"cycle": [{**CHART, "multiplicity": True}]}, "multiplicity"),
-        ({"cycle": [{**CHART, "chart_vars": True}]}, "chart_vars"),
-        ({"cycle": [{**CHART, "chart_vars": 1.0}]}, "chart_vars"),
     ],
 )
 def test_integer_fields_take_only_json_integers(tmp_path, capsys, overrides, key):
@@ -697,9 +722,7 @@ def test_samples_below_two_batches(tmp_path, capsys, samples):
 
 
 def test_chart_component_arity(tmp_path, capsys):
-    path = write_config(
-        tmp_path, fiber=[{"chart_vars": 1, "components": ["1", "u"]}]
-    )
+    path = write_config(tmp_path, fiber=[{"components": ["1", "u"]}])
     assert run(["ray", path, "--k", "2,3", "--samples", "8192"], tmp_path) == 2
     assert "chart" in capsys.readouterr().err.lower()
 
@@ -725,10 +748,10 @@ def test_chart_off_its_variety_is_a_config_error(tmp_path, capsys, command, sect
 
 
 DOUBLE_LINE = json.loads(config_path("conic_double_line").read_text())
-# conic_double_line with two parameters on each chart
+# conic_double_line with a second parameter v in each chart
 TWO_PARAMS = {
-    section: [{**chart, "chart_vars": 2} for chart in DOUBLE_LINE[section]]
-    for section in ("fiber", "cycle")
+    "fiber": [{"components": ["1", "u*v", "u^2*v^2"]}],
+    "cycle": [{"components": ["1", "0", "u + v"], "multiplicity": 2}],
 }
 # the surface xw = yz with a curve on it as fiber and a line on X_0 as cycle
 SURFACE = {
@@ -766,7 +789,7 @@ def test_chart_parameter_count_must_be_the_dimension(
 # P^2 with nothing cut out and a two-parameter chart whose image is a line:
 # chow --numeric used to exit 0 on a vacuous check, n2 to exit 3, and ray
 # and mass to exit 2 on an unnamed singular Gram matrix
-FLAT_CHART = {"chart_vars": 2, "components": ["1", "u + v", "0"]}
+FLAT_CHART = {"components": ["1", "u + v", "0"]}
 
 
 @pytest.mark.parametrize(
@@ -833,9 +856,7 @@ def test_n2_without_cycle(tmp_path, capsys):
 
 
 def test_chow_numeric_without_cycle(tmp_path, capsys):
-    path = write_config(
-        tmp_path, fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"]}]
-    )
+    path = write_config(tmp_path, fiber=[{"components": ["1", "u", "u^2"]}])
     assert run(["chow", path, "--numeric", "--samples", "8192"], tmp_path) == 2
     assert "cycle" in capsys.readouterr().err
 
@@ -844,14 +865,33 @@ def test_t_probe_flag_is_gone(tmp_path):
     assert run(["chow", DL, "--numeric", "--t-probe", "-15"], tmp_path) == 2
 
 
-def test_sampling_law_key_is_rejected(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        fiber=[{"chart_vars": 1, "components": ["1", "u", "u^2"], "law": "gaussian"}],
-    )
-    assert run(["ray", path, "--k", "2,3", "--samples", "8192"], tmp_path) == 2
+CONIC = ["1", "u", "u^2"]
+DOUBLE = ["1", "0", "u"]
+
+
+@pytest.mark.parametrize(
+    "command, section, chart, key",
+    [
+        # the parameters are u, v, w up to the last one the components use
+        (["n2"], "cycle", {"components": DOUBLE, "multiplicity": 2, "chart_vars": 1}, "chart_vars"),
+        # n2 used to exit 3, reading the misspelt multiplicity 2 as 1
+        (["n2"], "cycle", {"components": DOUBLE, "multiplicty": 2}, "multiplicty"),
+        # X is reduced: ray used to exit 0 with every phi(t;k) shifted by -log 2/k
+        (["ray"], "fiber", {"components": CONIC, "multiplicity": 2}, "multiplicity"),
+        # charts are always sampled from the Fubini-Study law
+        (["ray"], "fiber", {"components": CONIC, "law": "gaussian"}, "law"),
+    ],
+    ids=["chart_vars", "multiplicty", "fiber_multiplicity", "law"],
+)
+def test_chart_takes_only_its_keys(tmp_path, capsys, command, section, chart, key):
+    good = json.loads(config_path("conic_double_line").read_text())
+    path = write_config(tmp_path, **{**good, "name": "probe", section: [chart]})
+    out = tmp_path / "out"
+    assert run([*command, path, "--samples", "8192"], out) == 2
     err = capsys.readouterr().err
-    assert "fiber[0]" in err and "'law'" in err
+    assert f"{section}[0]: a {section} chart takes only 'components'" in err
+    assert f"not {key!r} (remove the key)" in err
+    assert not out.exists()
 
 
 def test_lead_degree_70_gets_its_exact_answer(tmp_path):

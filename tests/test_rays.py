@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kstab import rays
 from kstab.rays import PARAM_VALUES
@@ -180,6 +181,39 @@ def test_shifts_are_strictly_decreasing_but_boundary_gap_is_large(dl_grid):
 def test_slope_and_convexity_diagnostics(dl_grid):
     assert slope_report(dl_grid) <= 0
     assert convexity_report(dl_grid) >= -cli.CONVEXITY_TOL
+
+
+@st.composite
+def ray_terms(draw):
+    """lambda, log-terms (some -inf, never a whole row) and a negative t grid."""
+    width = draw(st.integers(1, 6))
+    lambdas = draw(st.lists(st.floats(-5, 5), min_size=width, max_size=width))
+    term = st.one_of(st.floats(-30, 30), st.just(-math.inf))
+    row = st.lists(term, min_size=width, max_size=width).filter(lambda r: max(r) > -math.inf)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    # spacing at least 0.01 keeps rounding in phi small in the divided differences
+    ticks = draw(st.lists(st.integers(1, 4000), min_size=3, max_size=8, unique=True))
+    return np.array(lambdas), np.array(rows), np.array(sorted(-tick / 100 for tick in ticks))
+
+
+@given(ray_terms(), st.integers(1, 32), st.integers(1, 3))
+def test_phi_from_terms_keeps_its_slope_bound_and_is_convex(terms, k, n):
+    # phi(t;k) = (1/k)[log sum_a e^(2 t lambda_a) |s_a|^2 - n log k] is a
+    # log-sum-exp of lines in t: d_t phi = (2/k) sum_a lambda_a p_a for softmax
+    # weights p, so every finite-difference slope is at most 2 max|lambda|/k in
+    # modulus, and d_t^2 phi = (4/k) Var_p(lambda) >= 0
+    lambdas, log_terms, t = terms
+    phi = np.array([rays._phi_from_terms(log_terms, lambdas, k, n, s) for s in t])
+    # rounding allowance: a few ulps of the largest magnitude in the sum, per
+    # reduced term, over k, then over the least spacing per difference quotient
+    finite = np.abs(log_terms[np.isfinite(log_terms)])
+    bound = 2 * np.abs(t).max() * np.abs(lambdas).max()
+    size = 1 + finite.max() + bound + math.log(lambdas.size) + n * math.log(k)
+    err = 8 * (lambdas.size + 2) * np.finfo(float).eps * size / k
+    slack = 2 * err / np.diff(t).min()
+    slopes = np.diff(phi, axis=0) / np.diff(t)[:, None]
+    assert np.all(np.abs(slopes) <= 2 * np.abs(lambdas).max() / k + slack)
+    assert np.all(np.diff(slopes, axis=0) >= -2 * slack)
 
 
 def test_sup_stays_inside_the_two_sided_band(dl_grid):
